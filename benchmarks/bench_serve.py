@@ -11,22 +11,17 @@ root:
   ``ProcessExecutor`` (persistent worker processes materializing the
   same model spec).  Executor speedups are hardware-bound (threads
   overlap only where BLAS releases the GIL; processes sidestep the GIL
-  but pay pipe serialization), so ``cpu_count`` is recorded next to
+  but pay header round trips), so ``cpu_count`` is recorded next to
   them.  ``--executor`` selects a subset — CI runs a dedicated
   ``--executor process`` smoke so pool startup *and* shutdown are
   exercised on every push.
-* **Transport A/B** — the same payload-dominated workload (an ``echo``
-  explainer whose compute is a channel mean, 64x64 images, batch 16)
-  through a process pool once per transport: ``shm`` (zero-copy
-  shared-memory arenas) vs ``pipe`` (the pickle codec).  Records
-  requests/sec and payload MB/s per transport plus the pickled payload
-  bytes per request, and **fails the run** if shm does not move
-  strictly fewer pickled bytes than pipe — that invariant is
-  structural, not hardware-dependent, so it gates everywhere.
-  ``--transport`` also pins the mixed-workload process pool to one
-  transport so CI can smoke each path separately;
-  ``--skip-transport-bench`` lets the pipe-pinned smoke skip the A/B
-  (which always runs both transports regardless of the pin).
+* **Transport** — a payload-dominated workload (an ``echo`` explainer
+  whose compute is a channel mean, 64x64 images, batch 16) through a
+  process pool's shared-memory arenas.  Records requests/sec, payload
+  MB/s and the pickled payload bytes per request, and **fails the
+  run** unless no payload byte was pickled and no batch fell back to
+  the pipe — that invariant is structural, not hardware-dependent, so
+  it gates everywhere.
 * **Duplicate-heavy dedup** — U unique images requested R times each
   through one method; the run *verifies* via ``stats()`` counters that
   each unique request was computed exactly once (``cache_inserts ==
@@ -124,18 +119,16 @@ def throughput(num_classes, in_channels, images, labels, make_executor_fn,
 def transport_workload(num_classes: int, in_channels: int, workers: int,
                        repeats: int, requests: int = 32, side: int = 64,
                        batch: int = 16) -> dict:
-    """Shm-vs-pipe A/B on a payload-dominated process-pool workload.
+    """The process pool's transport on a payload-dominated workload.
 
     The ``echo`` explainer (channel mean — output depends on input, so
     a broken transport would corrupt results, not just slow down)
-    makes serialization the dominant cost: at 64x64 the pipe pickles
-    ~``side*side*4`` bytes out plus the same back per request, while
-    the shm path pickles only small control headers.  The pickled-byte
-    comparison is structural and gates unconditionally; the req/s
-    comparison is recorded (and gated against the baseline by
-    ``check_bench`` via the ``*_rps`` suffix) but shm >= pipe is only
-    asserted by the test suite at smoke scale, since a loaded CI box
-    can flip a close race.
+    makes moving the payload the dominant cost: at 64x64 each request
+    carries ``side*side*4`` bytes out plus the same back, all of which
+    must cross through the shared-memory arenas while the pipe carries
+    only control headers.  That is structural and gates
+    unconditionally; the req/s is recorded (and gated against the
+    baseline by ``check_bench`` via the ``*_rps`` suffix).
     """
     spec = demo_spec(("echo",), num_classes=num_classes,
                      in_channels=in_channels, width=WIDTH)
@@ -144,54 +137,49 @@ def transport_workload(num_classes: int, in_channels: int, workers: int,
         (requests, in_channels, side, side)).astype(np.float32)
     payload_per_request = (in_channels + 1) * side * side * 4  # out + ret
 
-    section = {"requests": requests, "image_side": side, "batch": batch,
-               "workers": workers,
-               "payload_bytes_per_request": payload_per_request}
-    for transport in ("pipe", "shm"):
-        best = 0.0
-        stats = None
-        for _ in range(repeats):
-            executor = ProcessExecutor(spec, workers=workers,
-                                       transport=transport)
-            classifier, explainers = spec.materialize()
-            engine = ExplainEngine(classifier, explainers, max_batch=batch,
-                                   cache_size=2 * requests,
-                                   executor=executor)
-            try:
-                start = time.perf_counter()
-                handles = [engine.submit_async(images[i], 0, "echo")
-                           for i in range(requests)]
-                engine.drain()
-                elapsed = time.perf_counter() - start
-                assert all(h.done for h in handles)
-                if requests / elapsed > best:
-                    best = requests / elapsed
-                    stats = executor.transport_stats()
-            finally:
-                engine.close()
-        section[f"{transport}_rps"] = round(best, 2)
-        section[f"{transport}_payload_mb_s"] = round(
-            best * payload_per_request / 1e6, 2)
-        section[f"{transport}_pickled_bytes_per_request"] = round(
-            stats["pipe_payload_bytes"] / requests, 1)
-        if transport == "shm":
-            section["shm_copies_avoided"] = stats["copies_avoided"]
-            section["shm_arena_bytes"] = stats["arena_bytes"]
-            section["shm_overlap_occupancy"] = stats["overlap_occupancy"]
-            section["shm_fallbacks"] = stats["fallbacks"]
-        print(f"transport A/B ({requests} reqs, {side}x{side}, "
-              f"batch {batch}): {transport:4s} "
-              f"{section[f'{transport}_rps']:7.1f} req/s, "
-              f"{section[f'{transport}_payload_mb_s']:6.1f} MB/s payload, "
-              f"{section[f'{transport}_pickled_bytes_per_request']:.0f} "
-              "pickled B/req")
-    if (section["shm_pickled_bytes_per_request"]
-            >= section["pipe_pickled_bytes_per_request"]):
+    best = 0.0
+    stats = None
+    for _ in range(repeats):
+        executor = ProcessExecutor(spec, workers=workers)
+        classifier, explainers = spec.materialize()
+        engine = ExplainEngine(classifier, explainers, max_batch=batch,
+                               cache_size=2 * requests, executor=executor)
+        try:
+            start = time.perf_counter()
+            handles = [engine.submit_async(images[i], 0, "echo")
+                       for i in range(requests)]
+            engine.drain()
+            elapsed = time.perf_counter() - start
+            assert all(h.done for h in handles)
+            if requests / elapsed > best:
+                best = requests / elapsed
+                stats = executor.transport_stats()
+        finally:
+            engine.close()
+    section = {
+        "requests": requests, "image_side": side, "batch": batch,
+        "workers": workers,
+        "payload_bytes_per_request": payload_per_request,
+        "shm_rps": round(best, 2),
+        "shm_payload_mb_s": round(best * payload_per_request / 1e6, 2),
+        "shm_pickled_bytes_per_request": round(
+            stats["pipe_payload_bytes"] / requests, 1),
+        "shm_copies_avoided": stats["copies_avoided"],
+        "shm_arena_bytes": stats["arena_bytes"],
+        "shm_overlap_occupancy": stats["overlap_occupancy"],
+        "shm_fallbacks": stats["fallbacks"],
+    }
+    print(f"transport ({requests} reqs, {side}x{side}, batch {batch}): "
+          f"{section['shm_rps']:7.1f} req/s, "
+          f"{section['shm_payload_mb_s']:6.1f} MB/s payload, "
+          f"{section['shm_pickled_bytes_per_request']:.0f} pickled B/req, "
+          f"{section['shm_fallbacks']} fallbacks")
+    if section["shm_pickled_bytes_per_request"] or section["shm_fallbacks"]:
         raise SystemExit(
-            "transport regression: shm pickled "
-            f"{section['shm_pickled_bytes_per_request']} B/req, expected "
-            "strictly fewer than pipe's "
-            f"{section['pipe_pickled_bytes_per_request']} B/req")
+            "transport regression: expected every payload byte to cross "
+            "the shared-memory arenas, got "
+            f"{section['shm_pickled_bytes_per_request']} pickled B/req and "
+            f"{section['shm_fallbacks']} pipe fallbacks")
     return section
 
 
@@ -290,15 +278,7 @@ def main() -> None:
                         help="throughput flavours to run (results merge "
                         "into the label, so partial runs compose; the "
                         "dedup/shard sections ride with 'serial', the "
-                        "transport A/B with 'process')")
-    parser.add_argument("--transport", choices=("auto", "shm", "pipe"),
-                        default="auto",
-                        help="pin the mixed-workload process pool to one "
-                        "transport (the A/B section always runs both)")
-    parser.add_argument("--skip-transport-bench", action="store_true",
-                        help="skip the shm-vs-pipe A/B section (used by "
-                        "the pipe-pinned CI smoke so only the shm smoke "
-                        "records the A/B keys)")
+                        "transport section with 'process')")
     args = parser.parse_args()
 
     dataset = make_dataset("brain_tumor1", "train", image_size=IMAGE_SIZE,
@@ -314,8 +294,7 @@ def main() -> None:
         "serial": lambda: "serial",
         "threaded": lambda: ThreadedExecutor(workers=args.workers),
         "process": lambda: ProcessExecutor(
-            serve_spec(num_classes, in_channels), workers=args.workers,
-            transport=args.transport),
+            serve_spec(num_classes, in_channels), workers=args.workers),
     }
     rps = {}
     for flavour in args.executor:
@@ -345,7 +324,7 @@ def main() -> None:
     entry.update({f"{flavour}_rps": round(value, 2)
                   for flavour, value in rps.items()})
 
-    if "process" in args.executor and not args.skip_transport_bench:
+    if "process" in args.executor:
         entry["transport"] = transport_workload(
             num_classes, in_channels, args.workers, args.repeats)
 

@@ -32,21 +32,20 @@ The package splits the serving layer into four pieces:
   :class:`ProcessExecutor` (persistent worker *processes*: each one
   materializes the engine's models once from a picklable
   :class:`~repro.serve.worker.EngineSpec` and then serves compact batch
-  payloads, sidestepping the GIL for the python-heavy explainer
+  headers, sidestepping the GIL for the python-heavy explainer
   overhead threads cannot parallelize).
 * :mod:`~repro.serve.worker` — the process-worker side: the
-  :class:`EngineSpec` recipe, the payload codec, and the worker loop.
+  :class:`EngineSpec` recipe, the pool's message protocol, the result
+  codec, and the worker loop.
 * :mod:`~repro.serve.transport` — the zero-copy payload path under the
   process pool: per-worker double-buffered shared-memory arenas
   (:class:`ShmArena` parent-side, :class:`ArenaClient` worker-side)
   carry the ndarray payloads while the pipe carries compact headers,
   letting the dispatcher encode the next batch while the worker
-  computes the current one.  Arenas grow geometrically, stale or
-  oversized payloads degrade that one batch to the pipe codec, the
-  parent owns every ``/dev/shm`` segment (crashes leak nothing), and
-  ``REPRO_SERVE_TRANSPORT=pipe`` — or a platform without
-  ``multiprocessing.shared_memory`` — keeps the pickle codec
-  byte-for-byte.
+  computes the current one.  Arenas grow geometrically, a stale
+  segment or an oversized reply degrades that one batch to the pipe,
+  and the parent owns every ``/dev/shm`` segment (crashes leak
+  nothing).
 * :mod:`~repro.serve.plans` — :class:`PlanCache`: compiled execution
   plans for the shape-repetitive hot path.  The first batch of a
   plan-eligible method on a new ``(method, batch_shape, dtype)`` key is
@@ -69,9 +68,8 @@ The package splits the serving layer into four pieces:
   index rebuilt by CRC-checked segment scan on corruption, write-behind
   inserts (the hot path never blocks on disk), mmap reads, per-entry
   GDSF cost persisted so cost-aware eviction survives restarts, and
-  whole-segment compaction for capacity.  One read-write opener per
-  directory (the engine); process workers attach read-only from an
-  index snapshot and serve store hits without compute.
+  whole-segment compaction for capacity.  One opener per directory:
+  the engine, which probes it before any work reaches an executor.
 * :mod:`~repro.serve.engine` — the :class:`ExplainEngine` façade tying
   them together behind ``submit`` / ``submit_async`` / ``flush`` /
   ``drain`` / ``explain`` / ``explain_batch``.  Async ingestion is
@@ -127,9 +125,7 @@ from .executor import (ProcessExecutor, SerialExecutor, ThreadedExecutor,
 from .plans import PlanCache
 from .scheduler import ExplainRequest, MicroBatchScheduler, QueueKey
 from .store import SaliencyStore, StoreClosed
-from .transport import (TRANSPORTS, ArenaClient, ShmArena, TransportStats,
-                        have_shared_memory, pack_ctxs, resolve_transport,
-                        unpack_ctxs)
+from .transport import ArenaClient, ShmArena, TransportStats
 from .worker import (EngineSpec, WorkerBatchError, WorkerCrashed,
                      demo_spec)
 
@@ -144,8 +140,6 @@ __all__ = [
     "SerialExecutor", "ThreadedExecutor", "ProcessExecutor",
     "default_worker_count", "make_executor", "PlanCache",
     "SaliencyStore", "StoreClosed",
-    "TRANSPORTS", "ShmArena", "ArenaClient", "TransportStats",
-    "have_shared_memory", "resolve_transport",
-    "pack_ctxs", "unpack_ctxs",
+    "ShmArena", "ArenaClient", "TransportStats",
     "EngineSpec", "WorkerBatchError", "WorkerCrashed", "demo_spec",
 ]

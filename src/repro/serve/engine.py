@@ -270,9 +270,10 @@ class ExplainEngine:
         :class:`~repro.serve.worker.EngineSpec` (persistent worker
         *processes*; ``ExperimentContext.engine(executor="process")``
         derives the spec automatically).  When the executor exposes a
-        ``run_batch`` remote-compute channel, the engine ships each
-        batch's compute to it as a compact payload and keeps all
-        bookkeeping (cache, dedup fan-out, admission) in-process.
+        ``run_batch(method, images, labels, targets, ctxs=...)``
+        remote-compute channel, the engine hands it each batch's
+        per-request image list and contexts and keeps all bookkeeping
+        (cache, dedup fan-out, admission) in-process.
     plans:
         Compiled execution plans (default on): plan-eligible methods
         are traced once per ``(method, batch_shape, dtype)`` key and
@@ -289,10 +290,9 @@ class ExplainEngine:
         engine — or an already-open store instance.  Tier-1 misses
         probe the store before queueing compute (mmap read, arrays
         re-frozen, the persisted GDSF cost threaded into the tier-1
-        insert); computed results write behind to it.  A process pool
-        additionally gets the directory plus an index snapshot so its
-        workers serve store hits read-only.  Reopening the same
-        directory later starts the engine *warm* — the whole point.
+        insert); computed results write behind to it.  Reopening the
+        same directory later starts the engine *warm* — the whole
+        point.
     priority:
         SLO-aware flush ordering (default on): ready queues pop in
         priority-class order (``interactive`` before ``normal`` before
@@ -382,17 +382,6 @@ class ExplainEngine:
         else:
             self._store = SaliencyStore(os.fspath(store))
         self.store_served = 0
-        self._store_attached_compactions = 0
-        if self._store is not None:
-            attach = getattr(self._executor, "attach_store", None)
-            if attach is not None:
-                # Process workers open the same directory read-only
-                # from the writer's index snapshot (never scanning a
-                # segment themselves) and serve store hits without
-                # compute.
-                attach(self._store.directory,
-                       self._store.index_snapshot())
-                self._store_attached_compactions = self._store.compactions
         self.batches_run = 0
         self.requests_served = 0
         #: Requests resolved as DeadlineExceeded without compute.
@@ -400,28 +389,6 @@ class ExplainEngine:
         #: tenant -> {"served": n, "deadline_expired": n}.  Cache/store
         #: hit breakdowns live in their own stats sections.
         self._tenants: Dict[str, Dict[str, int]] = {}
-
-    def _refresh_worker_store(self) -> None:
-        """Re-ship the store's index snapshot to process workers when
-        compaction retired segments since the last attach.  A stale
-        worker entry already degrades to compute (the read-only get
-        treats a vanished segment as a miss), so this is freshness,
-        not correctness: refreshed workers stop probing dead segments
-        and pick up everything persisted since.  Called at drain()'s
-        idle point, where attach_store's wait-for-idle is instant."""
-        if self._store is None or self._closed:
-            return
-        attach = getattr(self._executor, "attach_store", None)
-        if attach is None:
-            return
-        compactions = self._store.compactions
-        if compactions == self._store_attached_compactions:
-            return
-        try:
-            attach(self._store.directory, self._store.index_snapshot())
-            self._store_attached_compactions = compactions
-        except Exception:                  # noqa: BLE001 — best-effort
-            pass
 
     # ------------------------------------------------------------------
     @property
@@ -481,13 +448,6 @@ class ExplainEngine:
                 transport = None
         if worker_stats:
             plans = _merge_plan_stats(plans, worker_stats)
-            if store is not None:
-                store["worker_hits"] = sum(
-                    w.get("store", {}).get("hits", 0)
-                    for w in worker_stats)
-                store["worker_misses"] = sum(
-                    w.get("store", {}).get("misses", 0)
-                    for w in worker_stats)
         # Combined weighted hit rate across both tiers: compute avoided
         # by tier-1 hits plus tier-2 (store) hits, over that plus the
         # compute actually paid (computed inserts).
@@ -630,26 +590,12 @@ class ExplainEngine:
             # with no survivors can never drain what is queued — that
             # is the admission contract's "cannot make progress" case,
             # surfaced in its own type with the crash as the cause.
-            keys = ([list(r.key) for r in requests]
-                    if self._store is not None else None)
-            # An executor that accepts the per-request image list gets
-            # it unstacked: the shm transport writes each image straight
-            # into its arena slot, so the intermediate np.stack copy
-            # never exists.  Duck-typed run_batch implementations keep
-            # the stacked-array contract.
-            if getattr(self._executor, "accepts_image_list", False):
-                images = [r.image for r in requests]
-            else:
-                images = np.stack([r.image for r in requests])
-            kwargs = {"keys": keys}
-            if getattr(self._executor, "accepts_context", False):
-                # Context-aware executors carry the compact context
-                # fields over the wire and stamp the worker-side
-                # timestamps straight onto these ctx objects.
-                kwargs["ctxs"] = [r.ctx for r in requests]
+            # The images go unstacked (each is written straight into an
+            # arena slot), and the worker's stamps land on the contexts.
             try:
-                results, batch_ms = remote(method, images, labels, targets,
-                                           **kwargs)
+                results, batch_ms = remote(
+                    method, [r.image for r in requests], labels, targets,
+                    ctxs=[r.ctx for r in requests])
             except WorkerCrashed as exc:
                 if getattr(self._executor, "alive_workers", 1) == 0:
                     raise EngineOverloaded(
@@ -684,36 +630,18 @@ class ExplainEngine:
                 batch_ms = (time.perf_counter() - start) * 1000.0
         # Measured per-map cost feeds the cost-aware eviction policy
         # (cache insert below) and the queue's adaptive batch limit.
-        # Worker-side store hits did no compute here: the batch's wall
-        # time is spread over the computed maps only, and the hits keep
-        # the cost persisted with their record.
-        computed = [not (isinstance(r.meta, dict)
-                         and r.meta.get("store_hit")) for r in results]
-        n_computed = sum(computed)
-        cost_ms = batch_ms / max(n_computed, 1)
+        cost_ms = batch_ms / len(requests)
         served = 0
         store_puts: List[Tuple[CacheKey, SaliencyResult]] = []
         with self._lock:
             self.batches_run += 1
-            if n_computed:
-                # A batch served entirely by worker store hits did no
-                # compute: feeding the scheduler a zero-millisecond
-                # observation would drag its adaptive per-map cost
-                # estimate toward zero, so there is nothing to learn
-                # from here.
-                self._scheduler.observe(queue_key, batch_ms, n_computed)
-            for request, result, was_computed in zip(requests, results,
-                                                     computed):
+            self._scheduler.observe(queue_key, batch_ms, len(requests))
+            for request, result in zip(requests, results):
                 result.image_digest = request.key[0]
                 request.ctx.stamp("computed")
-                if was_computed:
-                    self.cache.put(request.key, result, cost_ms=cost_ms)
-                    if self._store is not None:
-                        store_puts.append((request.key, result))
-                else:
-                    stored_cost = result.meta.get("store_cost_ms")
-                    self.cache.put(request.key, result,
-                                   cost_ms=stored_cost, computed=False)
+                self.cache.put(request.key, result, cost_ms=cost_ms)
+                if self._store is not None:
+                    store_puts.append((request.key, result))
                 for handle in request.handles:
                     hctx = handle.ctx
                     if hctx is not None:
@@ -1057,7 +985,6 @@ class ExplainEngine:
                     idle = (not self._inflight
                             and self._scheduler.pending_count() == 0)
                 if idle:
-                    self._refresh_worker_store()
                     return resolved
         except BaseException:
             with self._lock:

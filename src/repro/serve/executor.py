@@ -19,14 +19,10 @@ them interchangeably.  The process pool additionally exposes
 because the submitted callable itself (engine locks, cache inserts,
 handle resolution) must keep running in the parent process.
 
-The process pool speaks one of two transports (see
-:mod:`repro.serve.transport`): ``"shm"`` moves ndarray payloads through
-per-worker double-buffered shared-memory arenas while the pipe carries
-only compact headers — with two slots per worker the dispatcher encodes
-batch N+1 while the worker computes batch N; ``"pipe"`` is the PR 5
-pickle codec, byte-for-byte.  ``"auto"`` (the default) honours the
-``REPRO_SERVE_TRANSPORT`` environment knob and otherwise picks shared
-memory wherever the platform provides it.
+The process pool moves ndarray payloads through per-worker
+double-buffered shared-memory arenas (see :mod:`repro.serve.transport`)
+while the pipe carries only compact headers — with two slots per worker
+the dispatcher encodes batch N+1 while the worker computes batch N.
 """
 
 from __future__ import annotations
@@ -40,11 +36,9 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .transport import (ShmArena, TransportStats, pack_ctxs,
-                        resolve_transport)
+from .transport import ArenaSlot, ShmArena, TransportStats
 from .worker import (EngineSpec, WorkerBatchError, WorkerCrashed,
-                     decode_results, decode_shm_results, encode_batch,
-                     worker_main)
+                     decode_results, decode_shm_results, worker_main)
 
 
 def default_worker_count(maximum: int = 8) -> int:
@@ -146,34 +140,42 @@ class ThreadedExecutor:
 #: (segment names embed pid + this sequence number).
 _ARENA_SEQ = itertools.count()
 
+#: Workers must *materialize* the spec (the point of spec replication),
+#: not inherit the parent's heap; spawn also stays safe in thread-rich
+#: parents where fork is not.
+_START_METHOD = "spawn"
+#: How long a worker may take to materialize its spec and report ready.
+_STARTUP_TIMEOUT_S = 180.0
+#: Double buffering: one slot computes while the other is encoded.
+_SLOTS_PER_WORKER = 2
+_INITIAL_ARENA_BYTES = 1 << 16
+
 
 class _WorkerChannel:
-    """One worker process plus the parent's end of its message pipe.
+    """One worker process, the parent's end of its message pipe, and
+    the shared-memory arena its payloads travel through.
 
     ``inflight`` counts batches currently between send and release on
-    this channel (bounded by ``slots``: 1 on the pipe transport, the
-    arena's slot count on shm).  Under shm, replies for the (up to two)
-    in-flight batches can interleave, so waiting dispatcher threads
-    elect one **receiver** at a time (``receiving``): it pulls the next
-    reply off the pipe, routes it into ``replies`` by the slot id every
-    slot-routed reply carries at index 1, and wakes the waiters on
+    this channel (bounded by the arena's slot count).  Replies for the
+    (up to two) in-flight batches can interleave, so waiting dispatcher
+    threads elect one **receiver** at a time (``receiving``): it pulls
+    the next reply off the pipe, routes it into ``replies`` by the slot
+    id every reply carries at index 1, and wakes the waiters on
     ``rcond``.  ``crash`` latches the first transport error so every
     concurrent waiter — not just the receiver that observed EOF —
     raises :class:`WorkerCrashed`.
     """
 
-    __slots__ = ("process", "conn", "dead", "reaped", "inflight", "slots",
-                 "arena", "send_lock", "rcond", "replies", "receiving",
-                 "crash")
+    __slots__ = ("process", "conn", "arena", "dead", "reaped", "inflight",
+                 "send_lock", "rcond", "replies", "receiving", "crash")
 
-    def __init__(self, process, conn, slots: int = 1):
+    def __init__(self, process, conn, arena: ShmArena):
         self.process = process
         self.conn = conn
+        self.arena = arena
         self.dead = False
         self.reaped = False
         self.inflight = 0
-        self.slots = slots
-        self.arena: Optional[ShmArena] = None
         self.send_lock = threading.Lock()
         self.rcond = threading.Condition()
         self.replies = {}
@@ -187,28 +189,26 @@ class ProcessExecutor:
     Each worker is initialized exactly once: it materializes the
     engine's models from a picklable :class:`~repro.serve.worker.
     EngineSpec` at startup (never per-batch pickling of live modules)
-    and then serves compact micro-batch payloads.  Because every worker
+    and then serves compact micro-batch headers.  Because every worker
     owns private model replicas in its own interpreter, there is no GIL
     to share and no per-method lock to hold: the python-heavy explainer
     overhead that caps :class:`ThreadedExecutor` at ~1.0x scales across
     cores.
 
-    **Transport.**  On ``transport="shm"`` (the ``"auto"`` default
-    wherever ``multiprocessing.shared_memory`` exists) each channel
-    owns a double-buffered :class:`~repro.serve.transport.ShmArena`:
-    ``run_batch`` writes the image stack straight into a free slot's
-    out segment (no pickle, no intermediate stack copy), sends a small
-    header, and the worker writes the stacked saliency into the return
-    segment.  Two slots per worker mean a second dispatcher thread can
-    encode the next batch into the free slot while the worker computes
-    — the dispatcher pool is sized ``workers * slots`` so that overlap
-    actually gets a thread.  Arenas grow geometrically on oversized
-    batches; stale or unattachable segments degrade that one batch to a
-    slot-routed pipe payload; the parent owns every segment and unlinks
-    them when a channel is reaped and at ``shutdown``, so neither a
-    worker crash nor a clean exit leaves ``/dev/shm`` entries behind.
-    ``transport="pipe"`` (or ``REPRO_SERVE_TRANSPORT=pipe``) keeps the
-    PR 5 pickle codec byte-for-byte.
+    **Transport.**  Each channel owns a double-buffered
+    :class:`~repro.serve.transport.ShmArena`: ``run_batch`` writes the
+    image stack straight into a free slot's out segment (no pickle, no
+    intermediate stack copy), sends a small header, and the worker
+    writes the stacked saliency into the return segment.  Two slots per
+    worker mean a second dispatcher thread can encode the next batch
+    into the free slot while the worker computes — the dispatcher pool
+    is sized ``workers * slots`` so that overlap actually gets a
+    thread.  Arenas grow geometrically on oversized batches; a stale
+    out segment or an oversized reply degrades that one batch to the
+    pipe (see :mod:`repro.serve.worker` for the protocol); the parent
+    owns every segment and unlinks them when a channel is reaped and at
+    ``shutdown``, so neither a worker crash nor a clean exit leaves
+    ``/dev/shm`` entries behind.
 
     The executor satisfies the engine's two-method contract (``submit``
     -> future, ``shutdown``): submitted callables run on a local
@@ -222,66 +222,52 @@ class ProcessExecutor:
     and the engine's normal requeue-and-retry contract lands the batch
     on a surviving worker.  A pool with no survivors raises on every
     acquire — loudly, with the crash as the cause.
-
-    ``start_method`` defaults to ``"spawn"``: workers must *materialize*
-    the spec (the point of spec replication), not inherit the parent's
-    heap, and spawn stays safe in thread-rich parents where fork is not.
     """
 
     name = "process"
-    #: The engine may pass run_batch a list of per-request images
-    #: instead of a pre-stacked array (both transports handle either).
-    accepts_image_list = True
-    #: The engine may pass run_batch the per-request RequestContext
-    #: list; the compact fields ride the batch message (both
-    #: transports) and worker-side timestamps come back stamped onto
-    #: the same ctx objects.  Duck-typed executors without this flag
-    #: never see a ctxs kwarg.
-    accepts_context = True
 
-    def __init__(self, spec: EngineSpec, workers: int = 2,
-                 start_method: str = "spawn",
-                 startup_timeout_s: float = 180.0,
-                 transport: str = "auto", slots_per_worker: int = 2,
-                 initial_arena_bytes: int = 1 << 16):
+    def __init__(self, spec: EngineSpec, workers: int = 2):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if slots_per_worker < 1:
-            raise ValueError("slots_per_worker must be >= 1")
         if not isinstance(spec, EngineSpec):
             raise TypeError(f"spec must be an EngineSpec, got {type(spec)}")
         self.spec = spec
         self.workers = workers
-        self.transport = resolve_transport(transport)
-        self._slots = slots_per_worker if self.transport == "shm" else 1
-        self._stats = TransportStats(self.transport)
-        self._mp = multiprocessing.get_context(start_method)
+        self._stats = TransportStats()
+        mp = multiprocessing.get_context(_START_METHOD)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._all: List[_WorkerChannel] = []
         self._live = 0
         self._quiesce = 0
         self._closed = False
+        seq = next(_ARENA_SEQ)
         try:
-            for _ in range(workers):
-                parent_conn, child_conn = self._mp.Pipe()
-                process = self._mp.Process(
+            for i in range(workers):
+                parent_conn, child_conn = mp.Pipe()
+                process = mp.Process(
                     target=worker_main, args=(child_conn, spec),
                     daemon=True, name="explain-process-worker")
                 process.start()
                 child_conn.close()
+                # Segments are created lazily at the first encode, so
+                # the arena costs nothing until a batch needs it.
+                arena = ShmArena(f"rtx{os.getpid():x}-{seq}w{i}",
+                                 slots=_SLOTS_PER_WORKER,
+                                 initial_bytes=_INITIAL_ARENA_BYTES,
+                                 stats=self._stats)
                 self._all.append(_WorkerChannel(process, parent_conn,
-                                                slots=self._slots))
+                                                arena))
             # Eager handshake: every worker reports "ready" once its
             # spec materialized (models built/loaded), so a broken spec
             # fails the constructor with the remote traceback instead of
             # the first batch, and per-batch latency never includes a
             # cold model build.
             for channel in self._all:
-                if not channel.conn.poll(startup_timeout_s):
+                if not channel.conn.poll(_STARTUP_TIMEOUT_S):
                     raise WorkerCrashed(
                         f"worker pid={channel.process.pid} did not report "
-                        f"ready within {startup_timeout_s}s")
+                        f"ready within {_STARTUP_TIMEOUT_S}s")
                 try:
                     message = channel.conn.recv()
                 except EOFError as exc:
@@ -295,14 +281,6 @@ class ProcessExecutor:
                     raise WorkerCrashed(
                         "worker failed to materialize its EngineSpec:\n"
                         + str(message[1]))
-            if self.transport == "shm":
-                seq = next(_ARENA_SEQ)
-                for i, channel in enumerate(self._all):
-                    channel.arena = ShmArena(
-                        f"rtx{os.getpid():x}-{seq}w{i}",
-                        slots=self._slots,
-                        initial_bytes=initial_arena_bytes,
-                        stats=self._stats)
         except BaseException:
             self._terminate_all()
             raise
@@ -312,7 +290,7 @@ class ProcessExecutor:
         # slot is a *different* thread than the one blocked on batch N's
         # reply, so overlap needs the headroom.
         self._pool = ThreadPoolExecutor(
-            max_workers=workers * self._slots,
+            max_workers=workers * _SLOTS_PER_WORKER,
             thread_name_prefix="process-dispatch")
 
     # -- channel pool ---------------------------------------------------
@@ -330,13 +308,12 @@ class ProcessExecutor:
         with self._lock:
             return all(channel.inflight == 0 for channel in self._all)
 
-    def _acquire(self) -> Tuple[_WorkerChannel, Optional[object]]:
+    def _acquire(self) -> Tuple[_WorkerChannel, ArenaSlot]:
         """Claim a (channel, slot) pair for one batch.  Prefers the
         least-loaded live channel, so an idle worker always wins over
         double-buffering a busy one; a second batch lands on a busy
         channel (counted as an overlapped send) only when every worker
-        is already computing.  Pipe-transport channels have one slot,
-        which degenerates to PR 5's exclusive acquire."""
+        is already computing."""
         with self._cond:
             while True:
                 if self._closed:
@@ -347,22 +324,21 @@ class ProcessExecutor:
                 if self._quiesce == 0:
                     best = None
                     for channel in self._all:
-                        if channel.dead or channel.inflight >= channel.slots:
+                        if (channel.dead
+                                or channel.inflight >= _SLOTS_PER_WORKER):
                             continue
                         if best is None or channel.inflight < best.inflight:
                             best = channel
                     if best is not None:
-                        slot = (best.arena.acquire()
-                                if best.arena is not None else None)
+                        slot = best.arena.acquire()
                         self._stats.count_send(best.inflight > 0)
                         best.inflight += 1
                         return best, slot
                 self._cond.wait(timeout=0.1)
 
-    def _release(self, channel: _WorkerChannel, slot) -> None:
+    def _release(self, channel: _WorkerChannel, slot: ArenaSlot) -> None:
         with self._cond:
-            if slot is not None and channel.arena is not None:
-                channel.arena.release(slot)
+            channel.arena.release(slot)
             channel.inflight -= 1
             self._maybe_reap(channel)
             self._cond.notify_all()
@@ -396,19 +372,21 @@ class ProcessExecutor:
             if channel.process.is_alive():
                 channel.process.terminate()
                 channel.process.join(timeout=1.0)
-            if channel.arena is not None:
-                channel.arena.close()       # parent-owned unlink
+            channel.arena.close()           # parent-owned unlink
 
     # -- reply routing ---------------------------------------------------
+    def _crashed(self, channel: _WorkerChannel) -> WorkerCrashed:
+        return WorkerCrashed(
+            f"worker pid={channel.process.pid} died mid-batch "
+            f"(exitcode={channel.process.exitcode})")
+
     def _send(self, channel: _WorkerChannel, message) -> None:
         try:
             with channel.send_lock:
                 channel.conn.send(message)
         except (EOFError, OSError, BrokenPipeError) as exc:
             self._mark_dead(channel, exc)
-            raise WorkerCrashed(
-                f"worker pid={channel.process.pid} died mid-batch "
-                f"(exitcode={channel.process.exitcode})") from exc
+            raise self._crashed(channel) from exc
 
     def _wait_reply(self, channel: _WorkerChannel, slot_index: int):
         """Wait for this slot's reply on a channel that may have two
@@ -423,10 +401,7 @@ class ProcessExecutor:
                 if slot_index in channel.replies:
                     return channel.replies.pop(slot_index)
                 if channel.crash is not None:
-                    raise WorkerCrashed(
-                        f"worker pid={channel.process.pid} died mid-batch "
-                        f"(exitcode={channel.process.exitcode})"
-                    ) from channel.crash
+                    raise self._crashed(channel) from channel.crash
                 if channel.receiving:
                     channel.rcond.wait(timeout=0.1)
                     continue
@@ -437,9 +412,7 @@ class ProcessExecutor:
                 with channel.rcond:
                     channel.receiving = False
                 self._mark_dead(channel, exc)
-                raise WorkerCrashed(
-                    f"worker pid={channel.process.pid} died mid-batch "
-                    f"(exitcode={channel.process.exitcode})") from exc
+                raise self._crashed(channel) from exc
             with channel.rcond:
                 channel.receiving = False
                 channel.replies[reply[1]] = reply
@@ -448,135 +421,75 @@ class ProcessExecutor:
     # -- the remote-compute channel the engine duck-types for ----------
     def run_batch(self, method: str, images, labels: np.ndarray,
                   targets: Optional[np.ndarray],
-                  keys: Optional[list] = None,
                   ctxs: Optional[list] = None) -> Tuple[list, float]:
         """Run one micro-batch on a pool slot; returns ``(results,
         batch_ms)`` with ``batch_ms`` measured inside the worker (pure
         compute — pipe and queueing time never bill as cost).
         ``images`` is a stacked float32 array or a uniform-shape list of
-        per-request images (the shm path writes either form straight
-        into the arena; the pipe path stacks inside ``encode_batch``
-        exactly as PR 5 did).  ``keys`` (per-request cache keys) ride
-        along when the pool has a saliency store attached.  ``ctxs``
-        (per-request :class:`~repro.serve.context.RequestContext`) ride
-        both transports in compact packed form; the worker's
-        pid/recv/done stamps come back on the reply and are applied to
-        the same ctx objects before this returns.  A batch that raised
-        remotely raises :class:`WorkerBatchError` carrying the remote
-        traceback; a worker that died mid-batch raises
-        :class:`WorkerCrashed` and retires its channel."""
-        wire_ctxs = pack_ctxs(ctxs)
-        channel, slot = self._acquire()
-        try:
-            if slot is not None:
-                return self._run_batch_shm(channel, slot, method, images,
-                                           labels, targets, keys,
-                                           ctxs, wire_ctxs)
-            return self._run_batch_pipe(channel, method, images, labels,
-                                        targets, keys, ctxs, wire_ctxs)
-        finally:
-            self._release(channel, slot)
-
-    @staticmethod
-    def _apply_wstamps(ctxs, wstamps) -> None:
-        """Stamp a reply's worker-side timestamps onto the batch's live
-        context objects (no-op for context-free traffic)."""
-        if not wstamps or not ctxs:
-            return
-        pid, recv_at, done_at = wstamps
-        for ctx in ctxs:
-            if ctx is None:
-                continue
-            ctx.worker_pid = pid
-            ctx.worker_recv_at = recv_at
-            ctx.worker_done_at = done_at
-
-    def _run_batch_pipe(self, channel: _WorkerChannel, method: str,
-                        images, labels, targets, keys,
-                        ctxs=None, wire_ctxs=None) -> Tuple[list, float]:
-        message = encode_batch(method, images, labels, targets, keys=keys,
-                               ctxs=wire_ctxs)
-        try:
-            with channel.send_lock:
-                channel.conn.send(message)
-            reply = channel.conn.recv()
-        except (EOFError, OSError, BrokenPipeError) as exc:
-            self._mark_dead(channel, exc)
-            raise WorkerCrashed(
-                f"worker pid={channel.process.pid} died mid-batch "
-                f"(method={method!r}, exitcode="
-                f"{channel.process.exitcode})") from exc
-        if reply[0] == "error":
-            _, err_method, exc_type, text, remote_tb = reply
-            raise WorkerBatchError(err_method, exc_type, text, remote_tb)
-        _, payload, batch_ms = reply[:3]
-        self._apply_wstamps(ctxs, reply[3] if len(reply) > 3 else None)
-        saliency = payload[0]
-        ret_bytes = (saliency.nbytes if isinstance(saliency, np.ndarray)
-                     else sum(m.nbytes for m in saliency))
-        self._stats.count_pipe(message[2].nbytes + ret_bytes)
-        return decode_results(payload), float(batch_ms)
-
-    def _run_batch_shm(self, channel: _WorkerChannel, slot, method: str,
-                       images, labels, targets, keys,
-                       ctxs=None, wire_ctxs=None) -> Tuple[list, float]:
+        per-request images, written either way straight into the arena.
+        The worker's ``(pid, recv_at, done_at)`` stamps ride every
+        reply and land on each of ``ctxs`` (per-request
+        :class:`~repro.serve.context.RequestContext`) before this
+        returns.  A batch that raised remotely raises
+        :class:`WorkerBatchError` carrying the remote traceback; a
+        worker that died mid-batch raises :class:`WorkerCrashed` and
+        retires its channel."""
         labels = np.asarray(labels, dtype=np.int64)
         if targets is not None:
             targets = np.asarray(targets, dtype=np.int64)
-        pipe_out_bytes = 0
-        out_desc, ret_desc = channel.arena.encode(slot, images)
-        header = ("shm_batch", slot.index, method, out_desc,
-                  ret_desc, labels, targets, keys)
-        if wire_ctxs is not None:
-            # Context element appended only when present: context-free
-            # traffic keeps the pinned header framing byte-for-byte.
-            header = header + (wire_ctxs,)
-        self._send(channel, header)
-        reply = self._wait_reply(channel, slot.index)
-        if reply[0] == "shm_stale":
-            # The worker could not attach the segment (external
-            # /dev/shm cleanup, generation race after a grow):
-            # resend this one batch as a slot-routed pipe payload.
-            self._stats.count_fallback("stale")
-            stacked = (images if isinstance(images, np.ndarray)
-                       else np.stack(images))
-            stacked = np.ascontiguousarray(stacked, dtype=np.float32)
-            pipe_out_bytes = stacked.nbytes
-            resend = ("batch_slot", slot.index, method,
-                      stacked, labels, targets, keys)
-            if wire_ctxs is not None:
-                resend = resend + (wire_ctxs,)
-            self._send(channel, resend)
-            reply = self._wait_reply(channel, slot.index)
-        if reply[0] == "error_slot":
-            _, _slot, err_method, exc_type, text, remote_tb = reply
-            raise WorkerBatchError(err_method, exc_type, text, remote_tb)
-        if reply[0] == "ok_pipe":
-            # Fallback leg: stale resend, or a reply stack that outgrew
-            # the return segment (the byte need grows it for next time).
-            _, _slot, payload, batch_ms, ret_need = reply[:5]
-            self._apply_wstamps(ctxs,
-                                reply[5] if len(reply) > 5 else None)
-            if ret_need:
-                self._stats.count_fallback("oversize")
-                channel.arena.note_ret_need(slot, ret_need)
-            saliency = payload[0]
-            ret_bytes = (saliency.nbytes if isinstance(saliency, np.ndarray)
-                         else sum(m.nbytes for m in saliency))
-            self._stats.count_pipe(pipe_out_bytes + ret_bytes)
-            return decode_results(payload), float(batch_ms)
-        _, _slot, ret_shape, ret_dtype, out_labels, out_targets, metas, \
-            batch_ms = reply[:8]
-        self._apply_wstamps(ctxs, reply[8] if len(reply) > 8 else None)
-        view = channel.arena.ret_view(slot, ret_shape, ret_dtype)
+        channel, slot = self._acquire()
         try:
-            results = decode_shm_results(view, out_labels, out_targets,
-                                         metas)
+            out_desc, ret_desc = channel.arena.encode(slot, images)
+            self._send(channel, ("shm_batch", slot.index, method, out_desc,
+                                 ret_desc, labels, targets))
+            reply = self._wait_reply(channel, slot.index)
+            pipe_out_bytes = 0
+            if reply[0] == "shm_stale":
+                # The worker could not attach the segment (external
+                # /dev/shm cleanup): resend this one batch inline.
+                self._stats.count_fallback("stale")
+                stacked = np.ascontiguousarray(
+                    images if isinstance(images, np.ndarray)
+                    else np.stack(images), dtype=np.float32)
+                pipe_out_bytes = stacked.nbytes
+                self._send(channel, ("pipe_batch", slot.index, method,
+                                     stacked, labels, targets))
+                reply = self._wait_reply(channel, slot.index)
+            kind, _slot, (pid, recv_at, done_at) = reply[:3]
+            for ctx in ctxs or ():
+                ctx.worker_pid = pid
+                ctx.worker_recv_at = recv_at
+                ctx.worker_done_at = done_at
+            if kind == "error":
+                _, _, _, err_method, exc_type, text, remote_tb = reply
+                raise WorkerBatchError(err_method, exc_type, text,
+                                       remote_tb)
+            if kind == "ok_pipe":
+                # Inline resend, or a reply stack that outgrew the
+                # return segment (the byte need grows it for next time).
+                _, _, _, batch_ms, payload, ret_need = reply
+                if ret_need:
+                    self._stats.count_fallback("oversize")
+                    channel.arena.note_ret_need(slot, ret_need)
+                saliency = payload[0]
+                ret_bytes = (saliency.nbytes
+                             if isinstance(saliency, np.ndarray)
+                             else sum(m.nbytes for m in saliency))
+                self._stats.count_pipe(pipe_out_bytes + ret_bytes)
+                return decode_results(payload), float(batch_ms)
+            _, _, _, batch_ms, ret_shape, out_labels, out_targets, metas = \
+                reply
+            view = channel.arena.ret_view(slot, ret_shape)
+            try:
+                results = decode_shm_results(view, out_labels, out_targets,
+                                             metas)
+            finally:
+                del view                    # release the segment buffer
+            self._stats.count_shm_ret(
+                int(np.prod(ret_shape, dtype=np.int64)) * 4, len(results))
+            return results, float(batch_ms)
         finally:
-            del view                        # release the segment buffer
-        self._stats.count_shm_ret(
-            int(np.prod(ret_shape, dtype=np.int64)) * 4, len(results))
-        return results, float(batch_ms)
+            self._release(channel, slot)
 
     def transport_stats(self) -> dict:
         """Snapshot of the transport counters (see
@@ -585,69 +498,23 @@ class ProcessExecutor:
         with self._lock:
             arena_bytes = sum(channel.arena.live_bytes()
                               for channel in self._all
-                              if channel.arena is not None
-                              and not channel.reaped)
+                              if not channel.reaped)
         return self._stats.snapshot(arena_bytes=arena_bytes)
 
-    # -- pool-wide control messages (quiesced, one round-trip) ----------
-    def _begin_quiesce(self) -> List[_WorkerChannel]:
-        """Block new acquires and wait out in-flight batches; returns
-        the live channels.  Must be paired with :meth:`_end_quiesce`."""
+    def worker_stats(self) -> List[dict]:
+        """Per-worker ``{pid, batches, maps, plans}`` counters (the
+        dedup benchmark sums ``maps`` to verify exactly-once compute
+        across processes).  Blocks new batches and waits for all live
+        workers to go idle first — call it after ``drain()``, not under
+        load.  The probe fans out all sends first and then collects
+        replies: one round-trip for the whole pool."""
         with self._cond:
             self._quiesce += 1
             while any(channel.inflight > 0 for channel in self._all):
                 if self._closed or self._live == 0:
                     break
                 self._cond.wait(timeout=0.1)
-            return [channel for channel in self._all if not channel.dead]
-
-    def _end_quiesce(self) -> None:
-        with self._cond:
-            self._quiesce -= 1
-            self._cond.notify_all()
-
-    def attach_store(self, directory: str, snapshot: list) -> int:
-        """Attach a read-only saliency store to every live worker: each
-        gets the store *directory* plus the parent's current index
-        *snapshot* (see :meth:`repro.serve.store.SaliencyStore.
-        index_snapshot`), so workers open without scanning a segment or
-        touching the journal — the single-writer parent remains the
-        only process that mutates the directory.  Returns the number of
-        workers that attached; waits for the pool to go idle first
-        (call it before load, or after a drain).  All sends are issued
-        before any reply is collected, so an N-worker pool attaches in
-        one round-trip, not N."""
-        channels = self._begin_quiesce()
-        attached = 0
-        try:
-            pending = []
-            for channel in channels:
-                try:
-                    with channel.send_lock:
-                        channel.conn.send(("store", directory, snapshot))
-                    pending.append(channel)
-                except (EOFError, OSError, BrokenPipeError) as exc:
-                    self._mark_dead(channel, exc)
-            for channel in pending:
-                try:
-                    reply = channel.conn.recv()
-                except (EOFError, OSError, BrokenPipeError) as exc:
-                    self._mark_dead(channel, exc)
-                    continue
-                if reply[0] == "store_ok":
-                    attached += 1
-        finally:
-            self._end_quiesce()
-        return attached
-
-    def worker_stats(self) -> List[dict]:
-        """Per-worker ``{pid, batches, maps}`` counters (the dedup
-        benchmark sums ``maps`` to verify exactly-once compute across
-        processes).  Waits for all live workers to go idle first — call
-        it after ``drain()``, not under load.  Like
-        :meth:`attach_store`, the probe fans out all sends first and
-        then collects replies: one round-trip for the whole pool."""
-        channels = self._begin_quiesce()
+            channels = [channel for channel in self._all if not channel.dead]
         stats = []
         try:
             pending = []
@@ -666,7 +533,9 @@ class ProcessExecutor:
                     continue
                 stats.append(reply[1])
         finally:
-            self._end_quiesce()
+            with self._cond:
+                self._quiesce -= 1
+                self._cond.notify_all()
         return stats
 
     # -- executor contract ---------------------------------------------
@@ -715,8 +584,7 @@ class ProcessExecutor:
                 channel.conn.close()
             except OSError:
                 pass
-            if channel.arena is not None:
-                channel.arena.close()       # idempotent parent-side unlink
+            channel.arena.close()           # idempotent parent-side unlink
 
     def __enter__(self) -> "ProcessExecutor":
         return self
@@ -727,8 +595,7 @@ class ProcessExecutor:
 
     def __repr__(self) -> str:
         return (f"ProcessExecutor(workers={self.workers}, "
-                f"alive={self.alive_workers}, "
-                f"transport={self.transport!r})")
+                f"alive={self.alive_workers})")
 
 
 def make_executor(executor: Union[None, str, SerialExecutor,

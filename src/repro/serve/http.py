@@ -232,6 +232,29 @@ class _Ticket:
     created: float = field(default_factory=time.monotonic)
 
 
+def _int_field(value, key: str) -> Optional[int]:
+    """A wire integer: ``None`` stays ``None``, anything ``int()``
+    rejects is a ``400`` naming the field."""
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise HttpError(400, f"{key!r} must be an integer")
+
+
+def _per_image(payload: dict, key: str, images: list) -> list:
+    """A ``/v1/batch`` field parallel to ``images`` (absent: all
+    ``None``)."""
+    values = payload.get(key)
+    if values is None:
+        return [None] * len(images)
+    if not isinstance(values, list) or len(values) != len(images):
+        raise HttpError(400, f"{key!r} must be a list of {len(images)} "
+                             "entries, one per image")
+    return values
+
+
 def _jsonable(value):
     """JSON fallback for numpy scalars (engine stats carry a few)."""
     if isinstance(value, (np.integer,)):
@@ -374,18 +397,14 @@ class ExplainService:
                      f"{sorted(self.engine.explainers)}")
         return method
 
-    def _label(self, payload: dict, image: np.ndarray, key: str = "label"
-               ) -> int:
+    def _label(self, value, image: np.ndarray, key: str = "label") -> int:
         """The request's label, or the classifier's argmax when omitted
         (``label`` is what the explainer explains — most clients want
         "why did *you* call it that", i.e. the model's own call)."""
-        label = payload.get(key)
+        label = _int_field(value, key)
         if label is None:
             return int(self.engine.classifier.predict(image[None])[0])
-        try:
-            return int(label)
-        except (TypeError, ValueError):
-            raise HttpError(400, f"{key!r} must be an integer")
+        return label
 
     def _encode_result(self, result, encoding: str, ctx: RequestContext,
                        cache_hit: bool) -> dict:
@@ -430,9 +449,8 @@ class ExplainService:
         self._count("explain")
         method = self._method(payload)
         image = decode_array(payload.get("image"))
-        label = self._label(payload, image)
-        target = payload.get("target")
-        target = None if target is None else int(target)
+        label = self._label(payload.get("label"), image)
+        target = _int_field(payload.get("target"), "target")
         encoding = payload.get("encoding", "b64")
         mode = payload.get("mode", "sync")
         if mode not in ("sync", "async"):
@@ -473,25 +491,16 @@ class ExplainService:
         if not isinstance(raw_images, list) or not raw_images:
             raise HttpError(400, "'images' must be a non-empty list")
         images = [decode_array(obj) for obj in raw_images]
-        labels = payload.get("labels")
-        if labels is None:
-            labels = [self._label({}, img) for img in images]
-        elif len(labels) != len(images):
-            raise HttpError(400, f"{len(labels)} labels for "
-                                 f"{len(images)} images")
-        targets = payload.get("targets")
-        if targets is not None and len(targets) != len(images):
-            raise HttpError(400, f"{len(targets)} targets for "
-                                 f"{len(images)} images")
+        labels = [self._label(value, image, key="labels") for value, image
+                  in zip(_per_image(payload, "labels", images), images)]
+        targets = [_int_field(value, "targets")
+                   for value in _per_image(payload, "targets", images)]
         encoding = payload.get("encoding", "b64")
         template = self._context(payload, tenant)
         try:
             handles = [
-                self.engine.submit_async(
-                    images[i], int(labels[i]), method,
-                    None if targets is None or targets[i] is None
-                    else int(targets[i]),
-                    ctx=template.spawn())
+                self.engine.submit_async(images[i], labels[i], method,
+                                         targets[i], ctx=template.spawn())
                 for i in range(len(images))
             ]
             self.engine.flush(method)
@@ -611,6 +620,9 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(length)
         except (TypeError, ValueError):
             raise HttpError(411, "Content-Length required")
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up.
+            raise HttpError(400, "negative Content-Length")
         if length > self.service.config.max_body_bytes:
             raise HttpError(413, f"body of {length} bytes exceeds the "
                                  f"{self.service.config.max_body_bytes}"

@@ -2,15 +2,15 @@
 disk tier.
 
 The in-memory :class:`~repro.serve.cache.ShardedSaliencyCache` dies
-with the process, so every restart, deploy, or fresh worker pool starts
-cold and re-pays the full explainer cost — exactly the waste GDSF
-eviction was built to avoid.  :class:`SaliencyStore` keeps the tier-1
+with the process, so every restart or deploy starts cold and re-pays
+the full explainer cost — exactly the waste GDSF eviction was built to
+avoid.  :class:`SaliencyStore` keeps the tier-1
 contract warm across process lifetimes:
 
 * **Content-addressed** — keyed on the same ``(image_digest, method,
   label, target)`` :data:`~repro.serve.cache.CacheKey` the memory tier
-  uses, so an entry written by one run is a hit for any later run (or
-  any sibling process) that requests the same bytes.
+  uses, so an entry written by one run is a hit for any later run that
+  requests the same bytes.
 * **Append-only segments** — values are ``.npz``-framed records
   (float16-quantized saliency + meta arrays, JSON header carrying the
   key and GDSF cost) appended to fixed-size segment files
@@ -44,14 +44,10 @@ contract warm across process lifetimes:
   segment in priority order until the budget runs out, the rest are
   evicted (the clock ratchets, aging stale entries out), and the
   victim file is deleted.
-* **Single writer, many readers** — a ``LOCK`` file (pid-stamped,
-  stale-safe) enforces one read-write opener per directory.
-  :meth:`SaliencyStore.open_readonly` opens the same directory without
-  the lock, the journal replay, or a flusher thread — optionally from
-  an **index snapshot** message (:meth:`index_snapshot`), which is how
-  :class:`~repro.serve.executor.ProcessExecutor` workers attach: the
-  single-writer parent ships them the directory plus its current
-  index, and every worker serves store hits without ever scanning.
+* **Single writer** — a ``LOCK`` file (pid-stamped, stale-safe)
+  enforces one opener per directory: the engine, which probes the
+  store before anything reaches an executor, so process-pool workers
+  never touch it.
 """
 
 from __future__ import annotations
@@ -88,8 +84,7 @@ _SEG_FMT = "seg-{:08d}.seg"
 
 
 class StoreClosed(RuntimeError):
-    """Raised by operations on a closed (or read-only, for writes)
-    :class:`SaliencyStore`."""
+    """Raised by operations on a closed :class:`SaliencyStore`."""
 
 
 @dataclass
@@ -212,8 +207,8 @@ class SaliencyStore:
     Parameters
     ----------
     directory:
-        Store root; created if missing.  One read-write opener at a
-        time (``LOCK`` file); any number of read-only openers.
+        Store root; created if missing.  One opener at a time
+        (``LOCK`` file).
     capacity_bytes:
         Soft bound on total segment bytes; exceeded space is reclaimed
         by whole-segment compaction after each flush round.
@@ -244,7 +239,6 @@ class SaliencyStore:
         self.capacity_bytes = int(capacity_bytes)
         self.segment_bytes = int(segment_bytes)
         self.queue_depth = int(queue_depth)
-        self.read_only = False
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.RLock()
         # Serializes the writer role (flusher thread, synchronous
@@ -288,72 +282,6 @@ class SaliencyStore:
                                              daemon=True)
             self._flusher.start()
 
-    # -- read-only opener ----------------------------------------------
-    @classmethod
-    def open_readonly(cls, directory,
-                      snapshot: Optional[List] = None) -> "SaliencyStore":
-        """Open an existing store for reads only: no lock file, no
-        flusher, no journal rewrite.  With ``snapshot`` (a
-        :meth:`index_snapshot` message from the single writer) the
-        index is adopted verbatim — the reader never touches the
-        journal, which is what lets a whole worker fleet attach to one
-        writer's directory in O(index) time."""
-        store = cls.__new__(cls)
-        store.directory = os.fspath(directory)
-        store.capacity_bytes = STORE_CAPACITY_BYTES
-        store.segment_bytes = STORE_SEGMENT_BYTES
-        store.queue_depth = 1
-        store.read_only = True
-        store._lock = threading.RLock()
-        store._io_lock = threading.Lock()
-        store._drain_active = False
-        store._index = {}
-        store._segments = {}
-        store._mmaps = {}
-        store._pending = OrderedDict()
-        store._wake = threading.Condition(store._lock)
-        store._closed = False
-        store._clock = 0.0
-        store._seq = 0.0
-        store._head = None
-        store._head_file = None
-        store._journal_file = None
-        store._flusher = None
-        store.rebuilds = 0
-        store.hits = store.pending_hits = store.misses = 0
-        store.hit_cost_ms = 0.0
-        store.tenant_hits = {}
-        store.writes = store.coalesced = store.write_drops = 0
-        store.compactions = store.evictions = store.fsyncs = 0
-        if snapshot is not None:
-            store._adopt_snapshot(snapshot)
-        else:
-            store._load(scan_fallback_rewrites_journal=False)
-        return store
-
-    def _adopt_snapshot(self, snapshot: List) -> None:
-        for digest, method, label, target, seg, off, length, cost, size \
-                in snapshot:
-            key: CacheKey = (digest, method, int(label),
-                             None if target is None else int(target))
-            self._seq += 1.0
-            self._index[key] = _Entry(int(seg), int(off), int(length),
-                                      float(cost), float(size), self._seq)
-        for seg in {e.segment for e in self._index.values()}:
-            path = self._segment_path(seg)
-            self._segments[seg] = (os.path.getsize(path)
-                                   if os.path.exists(path) else 0)
-
-    def index_snapshot(self) -> List:
-        """JSON-safe index snapshot for read-only attach messages:
-        one ``[digest, method, label, target, segment, offset, length,
-        cost, size]`` row per live entry.  Pending (not yet flushed)
-        entries are excluded — they have no on-disk address yet."""
-        with self._lock:
-            return [[key[0], key[1], key[2], key[3],
-                     e.segment, e.offset, e.length, e.cost, e.size]
-                    for key, e in self._index.items()]
-
     # -- lockfile ------------------------------------------------------
     def _lockfile_path(self) -> str:
         return os.path.join(self.directory, _LOCKFILE)
@@ -374,8 +302,7 @@ class SaliencyStore:
                 if pid and _pid_alive(pid):
                     raise RuntimeError(
                         f"store {self.directory!r} is locked by live "
-                        f"writer pid {pid}; open_readonly() for "
-                        "additional readers (single-writer rule)")
+                        f"writer pid {pid} (single-writer rule)")
                 # Stale lock (writer died without close): take over
                 # atomically.  rename() is the claim — of all the
                 # contenders that read the dead pid, exactly one wins
@@ -404,8 +331,7 @@ class SaliencyStore:
                     os.unlink(claimed)
                     raise RuntimeError(
                         f"store {self.directory!r} is locked by live "
-                        f"writer pid {owner}; open_readonly() for "
-                        "additional readers (single-writer rule)")
+                        f"writer pid {owner} (single-writer rule)")
                 os.unlink(claimed)
                 continue
             with os.fdopen(fd, "w") as fh:
@@ -432,7 +358,7 @@ class SaliencyStore:
                     continue
         return sorted(ids)
 
-    def _load(self, scan_fallback_rewrites_journal: bool = True) -> None:
+    def _load(self) -> None:
         """Build the index: journal replay on the fast path, CRC-checked
         segment scan when the journal is missing or inconsistent."""
         on_disk = self._segment_ids_on_disk()
@@ -442,12 +368,10 @@ class SaliencyStore:
             self._segments = {seg: sizes[seg] for seg in on_disk}
         else:
             self._scan_rebuild(on_disk)
-            if scan_fallback_rewrites_journal and not self.read_only:
-                self._rewrite_journal()
-        if not self.read_only:
-            self._open_head()
-            self._journal_file = open(
-                os.path.join(self.directory, _JOURNAL), "a")
+            self._rewrite_journal()
+        self._open_head()
+        self._journal_file = open(os.path.join(self.directory, _JOURNAL),
+                                  "a")
 
     def _replay_journal(self, sizes: Dict[int, int]) -> bool:
         """Apply the journal; ``False`` (triggering a scan rebuild) on
@@ -615,11 +539,9 @@ class SaliencyStore:
                 view = self._read_span(entry.segment, entry.offset,
                                        entry.length)
             except (OSError, ValueError):
-                # The segment is gone (or unmappable): the single
-                # writer's compaction deleted it after this read-only
-                # opener took its index snapshot.  A stale entry is a
-                # miss, not an error — forget it so the caller falls
-                # back to compute.
+                # The segment file is gone (deleted out from under the
+                # store) or unmappable: a stale entry is a miss, not an
+                # error — forget it so the caller falls back to compute.
                 self._index.pop(key, None)
                 self.misses += 1
                 return None
@@ -654,8 +576,6 @@ class SaliencyStore:
         immediately; never blocks on disk).  Re-puts of a pending key
         coalesce to the newest value; a full queue drops its oldest
         pending entry (counted in ``write_drops``)."""
-        if self.read_only:
-            raise StoreClosed("store is open read-only")
         with self._wake:
             if self._closed:
                 raise StoreClosed("store is closed")
@@ -672,8 +592,6 @@ class SaliencyStore:
         """Block until every pending entry reached disk (and fsync).
         With ``write_behind=False`` the drain runs on the calling
         thread instead."""
-        if self.read_only:
-            return
         if self._flusher is None:
             self._drain_once()
             return
@@ -731,7 +649,6 @@ class SaliencyStore:
                 "segments": len(self._segments),
                 "bytes": sum(self._segments.values()),
                 "capacity_bytes": self.capacity_bytes,
-                "read_only": self.read_only,
             }
 
     def close(self) -> None:
@@ -741,9 +658,6 @@ class SaliencyStore:
             if self._closed:
                 return
             self._closed = True            # no further put()/get()
-            if self.read_only:
-                self._close_maps()
-                return
             self._wake.notify_all()
         if self._flusher is not None:
             self._flusher.join(timeout=5.0)
@@ -775,8 +689,7 @@ class SaliencyStore:
         return False
 
     def __repr__(self) -> str:
-        mode = "ro" if self.read_only else "rw"
-        return (f"SaliencyStore({self.directory!r}, mode={mode}, "
+        return (f"SaliencyStore({self.directory!r}, "
                 f"entries={len(self._index)})")
 
     # -- write-behind flusher ------------------------------------------

@@ -1,29 +1,26 @@
 """Zero-copy shared-memory transport for the process pool.
 
-PR 5's payload codec pickles the full float32 image stack out to each
-worker and the full saliency stack back through ``multiprocessing.Pipe``
-— every batch pays four bulk copies (pickle out, unpickle in, pickle
-back, unpickle back) plus the intermediate ``np.stack``s on both sides,
-so payload cost grows linearly with batch bytes exactly where multi-core
-scaling should pay off.  This module replaces the *payload* path with
-per-worker **double-buffered shared-memory arenas** while the pipe keeps
-carrying only small control headers (method, shapes, dtypes, slot id,
-arena generation, labels):
+Pickling the float32 image stack out to each worker and the saliency
+stack back through ``multiprocessing.Pipe`` costs four bulk copies per
+batch (pickle out, unpickle in, pickle back, unpickle back) plus the
+intermediate ``np.stack``s on both sides.  The pool instead moves
+payloads through per-worker **double-buffered shared-memory arenas**
+while the pipe carries only small control headers (method, shapes,
+slot id, arena generation, labels):
 
 * :class:`ShmArena` — the parent-side owner of one worker's slots.
-  Each of the (default two) slots holds an *out* segment (the request's
-  image stack, written in place by the dispatcher) and a *ret* segment
-  (the reply's saliency stack, written in place by the worker).  Two
-  slots let the dispatcher encode batch N+1 while the worker still
-  computes batch N — the encode/compute overlap PR 5's blocking
-  ``recv`` serialized away.  Segments grow geometrically when a batch
-  outgrows them (the old segment is unlinked immediately: a slot is
-  only grown while it is free, so no in-flight batch can be using it).
+  Each of the two slots holds an *out* segment (the request's image
+  stack, written in place by the dispatcher) and a *ret* segment (the
+  reply's saliency stack, written in place by the worker).  Two slots
+  let the dispatcher encode batch N+1 while the worker still computes
+  batch N.  Segments grow geometrically when a batch outgrows them
+  (the old segment is unlinked immediately: a slot is only grown while
+  it is free, so no in-flight batch can be using it).
 * :class:`ArenaClient` — the worker-side attachment cache.  Segment
   names embed the slot and an **arena generation**, so a header naming
   a new generation retires the stale mapping; a header whose segment
-  cannot be attached at all (external ``/dev/shm`` cleanup, platform
-  quirk) reports stale and the batch falls back to the PR 5 pipe codec.
+  cannot be attached at all (external ``/dev/shm`` cleanup) reports
+  stale and that one batch is resent inline through the pipe.
 * :class:`TransportStats` — counters for ``stats()["transport"]``:
   bytes moved per path, copies avoided, arena bytes, fallbacks, and
   overlap occupancy.
@@ -32,116 +29,38 @@ arena generation, labels):
 process that ever unlinks one.  Parent-side creation stays registered
 with ``multiprocessing.resource_tracker`` so a crashed parent still
 gets its segments unlinked at tracker shutdown; worker-side attachments
-are *un*registered (or opened with ``track=False`` on 3.13+) so a
-worker exit can never unlink — or double-free — a segment the parent
-still serves from.  ``ProcessExecutor`` unlinks a channel's arena when
-the channel is reaped (worker crash) and on ``shutdown()``; either
-side dying therefore leaves zero ``/dev/shm`` segments behind, which
-the transport test suite asserts by listing the directory.
+are opened with ``track=False`` on 3.13+ (older interpreters share the
+parent's tracker, see :func:`attach_segment`) so a worker exit can
+never unlink — or double-free — a segment the parent still serves
+from.  ``ProcessExecutor`` unlinks a channel's arena when the channel
+is reaped (worker crash) and on ``shutdown()``; either side dying
+therefore leaves zero ``/dev/shm`` segments behind, which the
+transport test suite asserts by listing the directory.
 
-Platforms without :mod:`multiprocessing.shared_memory` — or a
-``REPRO_SERVE_TRANSPORT=pipe`` environment override — keep the PR 5
-pipe codec byte-for-byte; the ``RemoteExecutor`` direction in the
-ROADMAP reuses the same header-plus-payload split with TCP framing
-swapped in for the arenas.
+**Sizing**: every batch goes through the arenas, so ``/dev/shm`` must
+hold ``2 slots x (out + ret) x workers x`` the largest batch's image
+bytes (up to twice that, since a segment at least doubles when it
+grows).
 """
 
 from __future__ import annotations
 
-import os
 import threading
+from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-try:                                       # pragma: no cover - import gate
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:                        # pragma: no cover - rare platform
-    _shared_memory = None
-
-__all__ = ["TRANSPORTS", "ENV_TRANSPORT", "have_shared_memory",
-           "resolve_transport", "ShmArena", "ArenaSlot", "ArenaClient",
-           "TransportStats", "attach_segment", "segment_base",
-           "pack_ctxs", "unpack_ctxs"]
-
-TRANSPORTS = ("auto", "shm", "pipe")
-ENV_TRANSPORT = "REPRO_SERVE_TRANSPORT"
+__all__ = ["ShmArena", "ArenaSlot", "ArenaClient", "TransportStats",
+           "attach_segment", "segment_base"]
 
 #: Segments are sized in whole pages; growth at least doubles so a
 #: ramping workload allocates O(log) segments, not one per batch.
 _PAGE = 4096
 
 
-def have_shared_memory() -> bool:
-    """True when :mod:`multiprocessing.shared_memory` is importable."""
-    return _shared_memory is not None
-
-
-def resolve_transport(requested: str = "auto") -> str:
-    """Resolve a transport request to ``"shm"`` or ``"pipe"``.
-
-    An explicit ``"shm"``/``"pipe"`` wins (tests pin their transport
-    regardless of the environment); ``"auto"`` consults the
-    ``REPRO_SERVE_TRANSPORT`` environment knob and finally falls back
-    to shared memory whenever the platform provides it.
-    """
-    if requested not in TRANSPORTS:
-        raise ValueError(f"unknown transport {requested!r}; "
-                         f"use one of {TRANSPORTS}")
-    if requested == "auto":
-        env = os.environ.get(ENV_TRANSPORT, "").strip().lower()
-        if env:
-            if env not in ("shm", "pipe"):
-                raise ValueError(
-                    f"{ENV_TRANSPORT}={env!r} is not a transport; "
-                    "use 'shm' or 'pipe'")
-            requested = env
-        else:
-            requested = "shm" if have_shared_memory() else "pipe"
-    if requested == "shm" and not have_shared_memory():
-        raise RuntimeError(
-            "shared-memory transport requested but multiprocessing."
-            "shared_memory is unavailable on this platform")
-    return requested
-
-
 def _round_up(nbytes: int) -> int:
     return max(_PAGE, (int(nbytes) + _PAGE - 1) // _PAGE * _PAGE)
-
-
-# ----------------------------------------------------------------------
-# Compact request-context codec: what a batch message carries per
-# request so process workers can attribute work (tenant, priority) and
-# honour the cross-process deadline contract.  Stage timestamps never
-# cross the wire — the worker stamps its own recv/done pair and the
-# parent applies them to the live RequestContext objects on reply.
-def pack_ctxs(ctxs) -> Optional[Tuple]:
-    """Pack a batch's :class:`~repro.serve.context.RequestContext` list
-    into compact wire tuples ``(priority, deadline, tenant, trace_id)``.
-    Returns ``None`` when there is nothing worth shipping (no list, or
-    every element ``None``) so callers can keep the context-free
-    framings byte-for-byte."""
-    if ctxs is None or all(c is None for c in ctxs):
-        return None
-    return tuple(None if c is None
-                 else (c.priority, c.deadline, c.tenant, c.trace_id)
-                 for c in ctxs)
-
-
-def unpack_ctxs(wire) -> Optional[Tuple]:
-    """Validate/normalize a packed context tuple from the wire (the
-    worker consumes the tuples directly; this exists so both ends agree
-    on one schema and tests can pin it)."""
-    if wire is None:
-        return None
-    out = []
-    for entry in wire:
-        if entry is None:
-            out.append(None)
-            continue
-        priority, deadline, tenant, trace_id = entry
-        out.append((priority, deadline, tenant, trace_id))
-    return tuple(out)
 
 
 def segment_base(name: str) -> str:
@@ -166,13 +85,11 @@ def attach_segment(name: str):
     ``unlink`` clears it; explicitly unregistering here would instead
     strip the parent's own registration out of the shared tracker and
     break its crash-cleanup guarantee."""
-    if _shared_memory is None:             # pragma: no cover - gated earlier
-        raise RuntimeError("shared_memory unavailable")
     try:
-        return _shared_memory.SharedMemory(name=name, create=False,
-                                           track=False)
+        return shared_memory.SharedMemory(name=name, create=False,
+                                          track=False)
     except TypeError:                      # Python < 3.13: shared tracker
-        return _shared_memory.SharedMemory(name=name, create=False)
+        return shared_memory.SharedMemory(name=name, create=False)
 
 
 class _Segment:
@@ -183,14 +100,14 @@ class _Segment:
     def __init__(self, name: str, size: int):
         size = _round_up(size)
         try:
-            shm = _shared_memory.SharedMemory(name=name, create=True,
-                                              size=size)
+            shm = shared_memory.SharedMemory(name=name, create=True,
+                                             size=size)
         except FileExistsError:
             # A leftover from a previous process that recycled our pid:
             # it is ours by name, so reclaim it.
-            _shared_memory.SharedMemory(name=name).unlink()
-            shm = _shared_memory.SharedMemory(name=name, create=True,
-                                              size=size)
+            shared_memory.SharedMemory(name=name).unlink()
+            shm = shared_memory.SharedMemory(name=name, create=True,
+                                             size=size)
         self.name = name
         self.size = size
         self.shm = shm
@@ -251,7 +168,7 @@ class ShmArena:
         self.prefix = prefix
         self.initial_bytes = int(initial_bytes)
         self.slots = [ArenaSlot(i) for i in range(slots)]
-        self.stats = stats if stats is not None else TransportStats("shm")
+        self.stats = stats if stats is not None else TransportStats()
         self._closed = False
 
     # -- slot accounting (under the executor pool lock) -----------------
@@ -264,9 +181,6 @@ class ShmArena:
 
     def release(self, slot: ArenaSlot) -> None:
         slot.in_use = False
-
-    def free_slots(self) -> int:
-        return sum(1 for slot in self.slots if not slot.in_use)
 
     # -- payload encode/decode (slot owned by the calling thread) -------
     def _segment_name(self, slot: ArenaSlot, direction: str) -> str:
@@ -331,12 +245,12 @@ class ShmArena:
         return ((out.name, out.size, tuple(batch_shape), "float32"),
                 (ret.name, ret.size))
 
-    def ret_view(self, slot: ArenaSlot, shape: Tuple[int, ...],
-                 dtype: str) -> np.ndarray:
-        """The worker-written reply stack; valid until the slot is
-        released — callers copy each map out before that."""
+    def ret_view(self, slot: ArenaSlot,
+                 shape: Tuple[int, ...]) -> np.ndarray:
+        """The worker-written float32 reply stack; valid until the slot
+        is released — callers copy each map out before that."""
         assert slot.ret is not None
-        return slot.ret.view(tuple(shape), np.dtype(dtype))
+        return slot.ret.view(tuple(shape), np.float32)
 
     def note_ret_need(self, slot: ArenaSlot, nbytes: int) -> None:
         slot.ret_need = max(slot.ret_need, int(nbytes))
@@ -403,7 +317,7 @@ class ArenaClient:
     def view(self, out_desc: Tuple) -> Optional[np.ndarray]:
         """Read-only ndarray over the header's out segment, or ``None``
         when the segment cannot be attached (stale header: the caller
-        reports it and the batch falls back to the pipe codec)."""
+        reports it and the parent resends the batch inline)."""
         name, _size, shape, dtype = out_desc
         try:
             shm = self._segment(name)
@@ -415,13 +329,14 @@ class ArenaClient:
         return view
 
     def write_ret(self, ret_desc: Tuple, maps: List[np.ndarray]
-                  ) -> Optional[Tuple[Tuple[int, ...], str]]:
-        """Write the stacked saliency maps into the reply segment —
-        the shm replacement for ``encode_results``'s ``np.stack`` +
-        pickle.  Returns ``(shape, dtype)`` for the reply header, or
-        ``None`` when the stack does not fit (or shapes are mixed /
-        the segment is unattachable): the caller falls back to the
-        pipe payload, carrying the needed byte count as a growth hint.
+                  ) -> Optional[Tuple[int, ...]]:
+        """Write the stacked float32 saliency maps into the reply
+        segment — the shm replacement for ``encode_results``'s
+        ``np.stack`` + pickle.  Returns the stack's shape for the reply
+        header, or ``None`` when the stack does not fit (or shapes are
+        mixed / the segment is unattachable): the caller falls back to
+        the pipe payload, carrying the needed byte count as a growth
+        hint.
         """
         if not maps:
             return None
@@ -441,7 +356,7 @@ class ArenaClient:
         for i, saliency in enumerate(maps):
             np.copyto(view[i], saliency, casting="unsafe")
         del view
-        return shape, "float32"
+        return shape
 
     def close(self) -> None:
         for _base, (_name, shm) in list(self._attached.items()):
@@ -457,8 +372,7 @@ class TransportStats:
     plain dict (with derived rates) for the engine's stats call.
     """
 
-    def __init__(self, mode: str):
-        self.mode = mode
+    def __init__(self):
         self._lock = threading.Lock()
         self.sends = 0
         self.overlapped_sends = 0
@@ -513,7 +427,6 @@ class TransportStats:
         with self._lock:
             sends = self.sends
             return {
-                "mode": self.mode,
                 "sends": sends,
                 "shm_batches": self.shm_batches,
                 "pipe_batches": self.pipe_batches,

@@ -5,19 +5,19 @@ Three pieces live here, all deliberately free of any engine state:
 * :class:`EngineSpec` — a picklable *recipe* for the models a worker
   needs.  The parent never ships live modules: each worker process
   materializes the spec **once at startup** (importing the factory and
-  calling it), so per-batch traffic carries only compact payloads.  A
+  calling it), so per-batch traffic carries only compact headers.  A
   factory is either a module-level callable or an ``"module:attr"``
   string, and returns either an ``{name: Explainer}`` mapping or a
   ``(classifier, explainers)`` pair.
-* **Payload codec** — :func:`encode_batch` / :func:`decode_batch` pack a
-  micro-batch as ``(method, stacked float32 images, labels, targets)``;
-  :func:`encode_results` / :func:`decode_results` pack the reply as one
-  stacked saliency array plus per-map labels/targets/meta.  No
-  :class:`~repro.explain.base.SaliencyResult` object crosses the pipe as
-  a live reference — the parent reconstructs fresh ones, so cache
-  freezing and digest stamping keep working unchanged.
+* **Result codec** — :func:`encode_results` / :func:`decode_results`
+  pack a reply that travels through the pipe as one stacked saliency
+  array plus per-map labels/targets/meta, and :func:`decode_shm_results`
+  rebuilds results from a worker-written return segment.  No
+  :class:`~repro.explain.base.SaliencyResult` object crosses a process
+  boundary as a live reference — the parent reconstructs fresh ones,
+  so cache freezing and digest stamping keep working unchanged.
 * :func:`worker_main` — the worker loop: handshake (``ready`` /
-  ``init_error``), then ``batch`` / ``stats`` / ``stop`` messages until
+  ``init_error``), then batch / ``stats`` / ``stop`` messages until
   the parent hangs up.  Each batch is timed *inside the worker* (pure
   compute, no pipe or convoy time), and the measured per-map cost rides
   back for the engine's cost-aware cache and adaptive batch limits.
@@ -25,19 +25,24 @@ Three pieces live here, all deliberately free of any engine state:
   ``nn.no_grad()`` in the worker, exactly as the in-process engine
   would run them.
 
-Under the shared-memory transport (see :mod:`repro.serve.transport`)
-the pipe carries only headers: a ``("shm_batch", slot, method,
-out_desc, ret_desc, labels, targets, keys)`` message names the arena
-segment holding the image stack, the worker computes from a zero-copy
-view and writes the stacked saliency into the return segment, replying
-``("ok_shm", slot, ...)`` with just shapes and metadata.  A header
-whose segment cannot be attached (stale generation after external
-cleanup) is answered ``("shm_stale", slot)`` and the parent resends the
-batch as a slot-routed pipe payload (``"batch_slot"`` →
-``"ok_pipe"``); a reply stack that outgrows the return segment also
-falls back to ``"ok_pipe"``, carrying the byte count the parent uses as
-a growth hint.  The PR 5 ``"batch"`` / ``"ok"`` framing is untouched —
-pipe-transport executors speak it byte-for-byte.
+The protocol (payloads live in the shared-memory arenas of
+:mod:`repro.serve.transport`; the pipe carries headers)::
+
+    parent -> ("shm_batch", slot, method, out_desc, ret_desc,
+               labels, targets)
+    worker -> ("ok_shm", slot, stamps, batch_ms, ret_shape,
+               labels, targets, metas)
+            | ("ok_pipe", slot, stamps, batch_ms, payload, ret_need)
+            | ("error", slot, stamps, method, exc_type, message, tb)
+            | ("shm_stale", slot)
+    parent -> ("pipe_batch", slot, method, images, labels, targets)
+
+``stamps`` is ``(pid, recv_at, done_at)`` on the system-wide monotonic
+clock.  A header whose out segment cannot be attached (external
+``/dev/shm`` cleanup) is answered ``shm_stale`` and the parent resends
+that one batch inline as ``pipe_batch``; its reply, and a reply stack
+that outgrows the return segment, come back as ``ok_pipe`` — the
+latter with the byte count the parent turns into a growth hint.
 
 :func:`demo_spec` builds a small untrained-classifier spec used by the
 serving benchmark, the process-executor tests, and the docs; its
@@ -53,13 +58,12 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
 __all__ = ["EngineSpec", "WorkerCrashed", "WorkerBatchError",
            "worker_main", "demo_spec",
-           "encode_batch", "decode_batch",
            "encode_results", "decode_results", "decode_shm_results"]
 
 
@@ -127,43 +131,7 @@ class EngineSpec:
 
 
 # ----------------------------------------------------------------------
-# Payload codec: what actually crosses the pipe, in both directions.
-def encode_batch(method: str, images: np.ndarray, labels: np.ndarray,
-                 targets: Optional[np.ndarray],
-                 keys: Optional[List[Tuple]] = None,
-                 ctxs: Optional[Tuple] = None) -> Tuple:
-    """Pack one micro-batch for the wire: contiguous float32 image
-    stack, int64 labels, and the optional target array (``None`` when
-    no request in the batch set a counter class).  ``keys`` carries the
-    per-request cache keys when the worker holds a read-only saliency
-    store to probe (parent-tier misses may still be store hits a worker
-    can serve without compute).  ``ctxs`` is the packed request-context
-    tuple (:func:`~repro.serve.transport.pack_ctxs`); it is appended
-    **only when present**, so context-free traffic keeps the pinned
-    PR 5/PR 8 framings byte-for-byte."""
-    images = np.ascontiguousarray(images, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.int64)
-    if ctxs is not None:
-        return ("batch", method, images, labels, targets, keys, ctxs)
-    return ("batch", method, images, labels, targets, keys)
-
-
-def decode_batch(message: Tuple) -> Tuple[str, np.ndarray, np.ndarray,
-                                          Optional[np.ndarray],
-                                          Optional[List[Tuple]],
-                                          Optional[Tuple]]:
-    if len(message) == 5:                  # keyless legacy framing
-        _, method, images, labels, targets = message
-        return method, images, labels, targets, None, None
-    if len(message) == 6:                  # keyed, context-free
-        _, method, images, labels, targets, keys = message
-        return method, images, labels, targets, keys, None
-    _, method, images, labels, targets, keys, ctxs = message
-    return method, images, labels, targets, keys, ctxs
-
-
+# Result codec: what crosses the pipe when a reply cannot use the arena.
 def encode_results(results: List) -> Tuple:
     """Pack a batch's results: one stacked saliency array (the compact
     common case) plus per-map labels/targets/meta.  Mixed-shape maps —
@@ -202,83 +170,21 @@ def decode_shm_results(view: np.ndarray, labels: List, targets: List,
 
 
 # ----------------------------------------------------------------------
-def _serve_batch(explainers: Dict, plan_cache, store, method: str,
-                 images: np.ndarray, labels: np.ndarray,
-                 targets: Optional[np.ndarray],
-                 keys: Optional[List[Tuple]]) -> Tuple[List, float, int, int]:
-    """The compute core shared by every batch framing (legacy pipe,
-    slot-routed pipe, shm header): probe the worker-side store, run the
-    plan cache over the misses, and reassemble results in request
-    order.  Returns ``(results, batch_ms, n_computed, n_served)``."""
-    explainer = explainers[method]
-    served: Dict[int, object] = {}
-    if store is not None and keys is not None:
-        for i, key in enumerate(keys):
-            if key is None:
-                continue
-            try:
-                found = store.get(tuple(key))
-            except Exception:              # noqa: BLE001
-                # A store problem (e.g. a snapshot entry whose segment
-                # the writer compacted away) must degrade to compute,
-                # never fail the whole batch.
-                found = None
-            if found is not None:
-                served[i] = found
-    compute = [i for i in range(len(images)) if i not in served]
-    batch_ms = 0.0
-    computed_results: List = []
-    if compute:
-        if len(compute) == len(images):
-            # The whole batch computes (the overwhelmingly common
-            # case): skip the fancy-index copy and read straight from
-            # the payload — under shm that is the arena view itself.
-            sub_images, sub_labels = images, labels
-            sub_targets = targets
-        else:
-            sub_images = images[compute]
-            sub_labels = labels[compute]
-            sub_targets = None if targets is None else targets[compute]
-        start = time.perf_counter()
-        # Plan replay when this replica has compiled the key; the
-        # cache falls back to the tape (applying the
-        # needs_gradients/no_grad contract) otherwise.
-        computed_results = plan_cache.run(explainer, sub_images,
-                                          sub_labels, sub_targets)
-        batch_ms = (time.perf_counter() - start) * 1000.0
-    results = [None] * len(images)
-    for i, computed in zip(compute, computed_results):
-        results[i] = computed
-    for i, (hit, cost) in served.items():
-        hit.meta = dict(hit.meta or {})
-        hit.meta["store_hit"] = True
-        hit.meta["store_cost_ms"] = cost
-        results[i] = hit
-    return results, batch_ms, len(compute), len(served)
-
-
 def worker_main(conn, spec: EngineSpec) -> None:
     """Worker-process entry point: materialize the spec once, then
-    serve ``batch`` / ``stats`` / ``stop`` messages until the parent
-    hangs up.  Runs single-threaded in its own interpreter, so there is
-    no GIL to share with the parent or with sibling workers.
+    serve ``shm_batch`` / ``pipe_batch`` / ``stats`` / ``stop``
+    messages (see the module docstring) until the parent hangs up.
+    Runs single-threaded in its own interpreter, so there is no GIL to
+    share with the parent or with sibling workers.
 
     Each worker holds its own :class:`~repro.serve.plans.PlanCache`:
     plans compile **per replica** (buffer arenas cannot cross process
     boundaries), so after each worker's first batch of a
     (method, shape) key its hot path replays tape-free.  The ``stats``
     reply carries the replica's plan counters.
-
-    A ``("store", directory, snapshot)`` message attaches a
-    **read-only** :class:`~repro.serve.store.SaliencyStore` built from
-    the parent's index snapshot (the single-writer rule: only the
-    parent process ever writes the directory).  Batches whose payload
-    carries per-request cache keys then probe the store first and
-    compute only the misses; store-served results come back flagged
-    ``meta["store_hit"]`` with their persisted cost, and ``batch_ms``
-    covers the computed subset only.
     """
     from .plans import PlanCache
+    from .transport import ArenaClient
 
     try:
         _classifier, explainers = spec.materialize()
@@ -288,27 +194,11 @@ def worker_main(conn, spec: EngineSpec) -> None:
         finally:
             conn.close()
         return
-    conn.send(("ready", os.getpid()))
+    pid = os.getpid()
+    conn.send(("ready", pid))
     plan_cache = PlanCache()
-    store = None
-    arena_client = None
-    batches = maps = store_hits = store_misses = 0
-    # Per-tenant / per-class map counts, fed by the packed request
-    # contexts riding context-aware batch messages (see pack_ctxs).
-    tenant_maps: Dict[str, int] = {}
-    priority_maps: Dict[str, int] = {}
-
-    def note_ctxs(ctxs) -> None:
-        if not ctxs:
-            return
-        for wire_ctx in ctxs:
-            if not wire_ctx:
-                continue
-            prio, _deadline, tenant, _trace = wire_ctx
-            priority_maps[prio] = priority_maps.get(prio, 0) + 1
-            if tenant is not None:
-                tenant_maps[tenant] = tenant_maps.get(tenant, 0) + 1
-
+    arena = ArenaClient()
+    batches = maps = 0
     try:
         while True:
             try:
@@ -323,143 +213,61 @@ def worker_main(conn, spec: EngineSpec) -> None:
             if kind == "stop":
                 break
             if kind == "stats":
-                conn.send(("stats", {"pid": os.getpid(),
-                                     "batches": batches, "maps": maps,
-                                     "plans": plan_cache.stats(),
-                                     "tenants": dict(tenant_maps),
-                                     "priorities": dict(priority_maps),
-                                     "store": {"hits": store_hits,
-                                               "misses": store_misses}}))
-                continue
-            if kind == "store":
-                from .store import SaliencyStore
-                _, directory, snapshot = message
-                try:
-                    if store is not None:
-                        store.close()
-                    store = SaliencyStore.open_readonly(directory,
-                                                        snapshot=snapshot)
-                    conn.send(("store_ok", len(store)))
-                except BaseException:      # noqa: BLE001 — report it
-                    store = None
-                    conn.send(("store_error", traceback.format_exc()))
+                conn.send(("stats", {"pid": pid, "batches": batches,
+                                     "maps": maps,
+                                     "plans": plan_cache.stats()}))
                 continue
             if kind == "shm_batch":
-                # Header-only framing: the payload lives in the arena.
-                # Context-free senders (the pinned PR 8 framing) omit
-                # the trailing ctxs element.
-                ctxs = message[8] if len(message) > 8 else None
-                _, slot, method, out_desc, ret_desc, labels, targets, \
-                    keys = message[:8]
-                if arena_client is None:
-                    from .transport import ArenaClient
-                    arena_client = ArenaClient()
-                images = arena_client.view(out_desc)
+                _, slot, method, out_desc, ret_desc, labels, targets = \
+                    message
+                images = arena.view(out_desc)
                 if images is None:         # stale segment: parent resends
                     conn.send(("shm_stale", slot))
                     continue
-                try:
-                    results, batch_ms, n_computed, n_served = _serve_batch(
-                        explainers, plan_cache, store, method, images,
-                        labels, targets, keys)
-                except BaseException as exc:  # noqa: BLE001 — ship it back
-                    conn.send(("error_slot", slot, method,
-                               type(exc).__name__, str(exc),
-                               traceback.format_exc()))
-                    continue
-                finally:
-                    del images             # release the arena view
-                if store is not None and keys is not None:
-                    store_hits += n_served
-                    store_misses += n_computed
-                batches += 1
-                maps += n_computed
-                note_ctxs(ctxs)
-                maps_out = [np.asarray(r.saliency, dtype=np.float32)
-                            for r in results]
-                written = arena_client.write_ret(ret_desc, maps_out)
-                # Worker timestamps ride back only when the message
-                # carried contexts, so the pinned reply framings keep
-                # their exact arity for context-free traffic.
-                wstamps = ((os.getpid(), recv_at, time.monotonic())
-                           if ctxs is not None else None)
-                if written is None:
-                    # Reply outgrew the return segment (or shapes are
-                    # mixed): ship the pickle once, with the byte count
-                    # the parent turns into a growth hint.
-                    first = maps_out[0].shape if maps_out else ()
-                    uniform = all(m.shape == first for m in maps_out)
-                    need = (len(maps_out)
-                            * int(np.prod(first, dtype=np.int64)) * 4
-                            if uniform and maps_out else 0)
-                    reply = ("ok_pipe", slot, encode_results(results),
-                             batch_ms, need)
-                    conn.send(reply + (wstamps,) if wstamps else reply)
-                    continue
-                ret_shape, ret_dtype = written
-                reply = ("ok_shm", slot, ret_shape, ret_dtype,
-                         [int(r.label) for r in results],
-                         [r.target_label for r in results],
-                         [r.meta for r in results], batch_ms)
-                conn.send(reply + (wstamps,) if wstamps else reply)
-                continue
-            if kind == "batch_slot":
-                # Pipe payload with slot routing: the fallback leg of
-                # the shm transport (stale header resend).  Context-free
-                # senders omit the trailing ctxs element.
-                ctxs = message[7] if len(message) > 7 else None
-                _, slot, method, images, labels, targets, keys = \
-                    message[:7]
-                try:
-                    results, batch_ms, n_computed, n_served = _serve_batch(
-                        explainers, plan_cache, store, method, images,
-                        labels, targets, keys)
-                except BaseException as exc:  # noqa: BLE001 — ship it back
-                    conn.send(("error_slot", slot, method,
-                               type(exc).__name__, str(exc),
-                               traceback.format_exc()))
-                    continue
-                if store is not None and keys is not None:
-                    store_hits += n_served
-                    store_misses += n_computed
-                batches += 1
-                maps += n_computed
-                note_ctxs(ctxs)
-                wstamps = ((os.getpid(), recv_at, time.monotonic())
-                           if ctxs is not None else None)
-                reply = ("ok_pipe", slot, encode_results(results),
-                         batch_ms, 0)
-                conn.send(reply + (wstamps,) if wstamps else reply)
-                continue
-            # PR 5 pipe framing, byte-for-byte (context-aware senders
-            # append a ctxs element; the reply then carries worker
-            # timestamps).
-            method, images, labels, targets, keys, ctxs = \
-                decode_batch(message)
+            else:                          # "pipe_batch": inline resend
+                _, slot, method, images, labels, targets = message
+                ret_desc = None
             try:
-                results, batch_ms, n_computed, n_served = _serve_batch(
-                    explainers, plan_cache, store, method, images,
-                    labels, targets, keys)
+                start = time.perf_counter()
+                # Plan replay when this replica has compiled the key;
+                # the cache falls back to the tape (applying the
+                # needs_gradients/no_grad contract) otherwise.
+                results = plan_cache.run(explainers[method], images,
+                                         labels, targets)
+                batch_ms = (time.perf_counter() - start) * 1000.0
             except BaseException as exc:   # noqa: BLE001 — ship it back
-                conn.send(("error", method, type(exc).__name__, str(exc),
+                conn.send(("error", slot, (pid, recv_at, time.monotonic()),
+                           method, type(exc).__name__, str(exc),
                            traceback.format_exc()))
-            else:
-                if store is not None and keys is not None:
-                    store_hits += n_served
-                    store_misses += n_computed
-                batches += 1
-                maps += n_computed         # store hits did no compute
-                note_ctxs(ctxs)
-                wstamps = ((os.getpid(), recv_at, time.monotonic())
-                           if ctxs is not None else None)
-                reply = ("ok", encode_results(results), batch_ms)
-                conn.send(reply + (wstamps,) if wstamps else reply)
+                continue
+            finally:
+                del images                 # release the arena view
+            batches += 1
+            maps += len(results)
+            maps_out = [np.asarray(r.saliency, dtype=np.float32)
+                        for r in results]
+            ret_shape = (arena.write_ret(ret_desc, maps_out)
+                         if ret_desc is not None else None)
+            stamps = (pid, recv_at, time.monotonic())
+            if ret_shape is None:
+                # Inline resend, or a reply that outgrew the return
+                # segment (or has mixed shapes): ship the pickle once,
+                # with the byte count the parent turns into a growth
+                # hint (0 when no single segment size would help).
+                first = maps_out[0].shape if maps_out else ()
+                uniform = all(m.shape == first for m in maps_out)
+                need = (len(maps_out) * int(np.prod(first, dtype=np.int64))
+                        * 4 if ret_desc is not None and uniform else 0)
+                conn.send(("ok_pipe", slot, stamps, batch_ms,
+                           encode_results(results), need))
+                continue
+            conn.send(("ok_shm", slot, stamps, batch_ms, ret_shape,
+                       [int(r.label) for r in results],
+                       [r.target_label for r in results],
+                       [r.meta for r in results]))
     finally:
         plan_cache.close()
-        if store is not None:
-            store.close()
-        if arena_client is not None:
-            arena_client.close()
+        arena.close()
         conn.close()
 
 
@@ -492,8 +300,8 @@ class _EchoExplainer:
     "saliency" is the channel mean of the input, so compute is a single
     vectorized pass and per-request cost is dominated by moving the
     image stack — exactly the regime where transport overhead shows.
-    The output depends on the input, so parity checks across transports
-    are real, not vacuous."""
+    The output depends on the input, so a corrupted payload shows up in
+    the result, not just in the timing."""
 
     name = "echo"
     needs_gradients = False

@@ -358,6 +358,47 @@ class TestHttpErrorPaths:
             status, _, _ = client("POST", "/v1/explain", payload)
             assert status == 400, payload
 
+    def test_non_integer_target_400(self, stack):
+        daemon, client = stack
+        status, body, _ = client("POST", "/v1/explain",
+                                 {"method": "gradcam", "target": "x",
+                                  "image": encode_array(_img(0, 8))})
+        assert status == 400
+        assert "'target'" in body["error"]
+
+    def test_non_integer_batch_label_400(self, stack):
+        daemon, client = stack
+        status, body, _ = client(
+            "POST", "/v1/batch",
+            {"method": "gradcam", "labels": [0, "x"],
+             "images": [encode_array(_img(i, 8)) for i in range(2)]},
+            key="k-glob")
+        assert status == 400
+        assert "'labels'" in body["error"]
+
+    def test_non_integer_batch_target_400(self, stack):
+        daemon, client = stack
+        status, body, _ = client(
+            "POST", "/v1/batch",
+            {"method": "gradcam", "targets": [None, "x"],
+             "images": [encode_array(_img(i, 8)) for i in range(2)]},
+            key="k-glob")
+        assert status == 400
+        assert "'targets'" in body["error"]
+
+    def test_negative_content_length_400(self, stack):
+        # Reading a body of length -1 would block until the client hung
+        # up; the reply must come back without the client closing.
+        import socket
+        daemon, _ = stack
+        with socket.create_connection((daemon.host, daemon.port),
+                                      timeout=2.0) as sock:
+            sock.sendall(b"POST /v1/explain HTTP/1.1\r\n"
+                         b"Host: localhost\r\nX-API-Key: k-acme\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            status_line = sock.recv(4096).split(b"\r\n", 1)[0]
+        assert status_line.split()[1] == b"400"
+
     def test_unknown_route_404(self, stack):
         daemon, client = stack
         assert client("GET", "/v1/zzz")[0] == 404

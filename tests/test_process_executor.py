@@ -123,11 +123,15 @@ class TestProcessExecutor:
         # recorded at insert must reflect that compute, which only
         # works if the worker's own clock rides back with the payload.
         engine = _engine(pool, cache_size=64, eviction="cost")
-        engine.explain(_images(1)[0], 0, "slow")
+        handle = engine.submit(_images(1)[0], 0, "slow")
+        handle.result()
         shard = engine.cache._shard(next(iter(
             k for s in engine.cache.shards for k in s._store)))
         (cost,) = shard._cost.values()
         assert cost > 50.0
+        # The worker's stamps land on the request's own context.
+        assert handle.ctx.worker_pid not in (None, os.getpid())
+        assert handle.ctx.worker_recv_at <= handle.ctx.worker_done_at
 
     def test_stats_aggregate_worker_plan_counters(self, pool):
         # Each replica compiles privately; stats() must sum the per-
@@ -274,8 +278,7 @@ class TestProcessExecutor:
 
     def test_broken_spec_fails_constructor_with_remote_traceback(self):
         with pytest.raises(WorkerCrashed, match="materialize"):
-            ProcessExecutor(demo_spec(("nope",)), workers=1,
-                            startup_timeout_s=60.0)
+            ProcessExecutor(demo_spec(("nope",)), workers=1)
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError, match="workers"):

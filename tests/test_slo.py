@@ -1,6 +1,6 @@
 """Tests for the request-context layer: priority classes, deadlines,
-tenants, SLO-aware flush ordering, and context carriage through both
-process-pool transports."""
+tenants, SLO-aware flush ordering, and the worker stamps the process
+pool applies to request contexts."""
 
 import json
 import os
@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import GatedExplainer, StubExplainer
+from conftest import GatedExplainer, StubExplainer, force_pipe_replies
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +18,7 @@ from repro.explain.base import SaliencyResult
 from repro.serve import (DeadlineExceeded, EngineOverloaded, ExplainEngine,
                          MicroBatchScheduler, ProcessExecutor, RequestContext,
                          SaliencyCache, SaliencyStore, ShardedSaliencyCache,
-                         ThreadedExecutor, demo_spec, have_shared_memory,
-                         pack_ctxs, unpack_ctxs)
+                         ThreadedExecutor, demo_spec)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -342,27 +341,18 @@ class TestStats:
 
 
 # ----------------------------------------------------------------------
-# Context carriage over the process-pool transports
+# Worker stamps on process-pool replies
 # ----------------------------------------------------------------------
 class TestTransportCarriage:
-    def test_pack_ctxs_elides_contextless_batches(self):
-        assert pack_ctxs(None) is None
-        assert pack_ctxs([None, None]) is None
-        ctx = RequestContext(priority="bulk", tenant="acme")
-        wire = pack_ctxs([ctx, None])
-        assert wire == (("bulk", None, "acme", ctx.trace_id), None)
-        assert unpack_ctxs(wire) == wire
-        assert unpack_ctxs(None) is None
-
-    @pytest.mark.parametrize("transport", [
-        "pipe",
-        pytest.param("shm", marks=pytest.mark.skipif(
-            not have_shared_memory(),
-            reason="multiprocessing.shared_memory unavailable")),
-    ])
-    def test_worker_stamps_ride_both_transports(self, transport):
-        spec = demo_spec(("gradcam",), width=8)
-        executor = ProcessExecutor(spec, workers=1, transport=transport)
+    @pytest.mark.parametrize("leg", ["pipe", "shm"])
+    def test_worker_stamps_ride_both_transports(self, leg, monkeypatch):
+        """Both reply legs — over the arena (``ok_shm``) and over the
+        pipe (``ok_pipe``) — carry the worker's stamps, and run_batch
+        applies them to the contexts it was given."""
+        if leg == "pipe":
+            force_pipe_replies(monkeypatch)
+        executor = ProcessExecutor(demo_spec(("gradcam",), width=8),
+                                   workers=1)
         try:
             rng = np.random.default_rng(3)
             images = rng.standard_normal((2, 1, 16, 16)) \
@@ -378,39 +368,18 @@ class TestTransportCarriage:
                 assert ctx.worker_pid is not None
                 assert ctx.worker_pid != os.getpid()
                 assert ctx.worker_recv_at <= ctx.worker_done_at
-            # Context-free traffic still runs (and stamps nothing).
+            # Without contexts the same protocol runs; nothing to stamp.
             bare, _ = executor.run_batch("gradcam", images, labels, None)
             assert len(bare) == 2
-            (stats,) = executor.worker_stats()
-            assert stats["tenants"] == {"acme": 1, "globex": 1}
-            assert stats["priorities"] == {"interactive": 1, "bulk": 1}
+            stats = executor.transport_stats()
+            if leg == "pipe":
+                assert stats["fallbacks_oversize"] == 2
+            else:
+                assert stats["shm_batches"] == 2
+            (worker,) = executor.worker_stats()
+            assert worker["maps"] == 4
         finally:
             executor.shutdown()
-
-    @pytest.mark.skipif(not have_shared_memory(),
-                        reason="shared memory unavailable")
-    def test_transport_parity_of_stamped_fields(self):
-        # Identical batch through pipe and shm: both transports must
-        # deliver the same stamped shape of context (parity pin for the
-        # conditional wire extension).
-        spec = demo_spec(("gradcam",), width=8)
-        images = np.random.default_rng(5).standard_normal(
-            (1, 1, 16, 16)).astype(np.float32)
-        labels = np.zeros(1, dtype=np.int64)
-        stamped = {}
-        for transport in ("pipe", "shm"):
-            executor = ProcessExecutor(spec, workers=1,
-                                       transport=transport)
-            try:
-                ctx = RequestContext(tenant="t")
-                executor.run_batch("gradcam", images, labels, None,
-                                   ctxs=[ctx])
-                stamped[transport] = (ctx.worker_pid is not None,
-                                      ctx.worker_recv_at is not None,
-                                      ctx.worker_done_at is not None)
-            finally:
-                executor.shutdown()
-        assert stamped["pipe"] == stamped["shm"] == (True, True, True)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tests for the persistent saliency store (tier 2): record round
 trips, write-behind semantics, journal replay, crash consistency
-(torn-record scan rebuild), segment compaction, the single-writer
-lockfile, read-only openers, engine warm restart, process workers
-serving store hits, and the cache's derived hit-rate stats."""
+(torn-record scan rebuild), segment compaction, vanished segments, the
+single-writer lockfile, engine warm restart (in-process and on a
+process pool), and the cache's derived hit-rate stats."""
 
 import os
 
@@ -11,8 +11,7 @@ import pytest
 
 from repro.explain.base import Explainer, SaliencyResult
 from repro.serve import (ExplainEngine, ProcessExecutor, SaliencyCache,
-                         SaliencyStore, StoreClosed, demo_spec,
-                         request_key)
+                         SaliencyStore, StoreClosed, demo_spec)
 
 
 def _result(i: int, side: int = 8) -> SaliencyResult:
@@ -218,41 +217,31 @@ class TestCapacity:
             assert stats["bytes"] <= 16 * 1024 + 4 * 1024
             assert 0 < stats["entries"] < 60
             # Every surviving index entry must still decode.
-            survivors = [tuple(row[:4]) for row in store.index_snapshot()]
+            survivors = [_key(i) for i in range(60) if _key(i) in store]
             assert survivors
             for key in survivors:
-                key = (key[0], key[1], key[2], key[3])
                 assert store.get(key) is not None
         finally:
             store.close()
 
 
-    def test_stale_snapshot_entry_is_miss_not_error(self, tmp_path):
-        """A read-only opener attached via index snapshot must survive
-        the writer compacting (deleting) a segment its snapshot still
-        points at: the probe is a clean miss — never FileNotFoundError
-        — so callers fall back to compute."""
+    def test_vanished_segment_is_miss_not_error(self, tmp_path):
+        """A segment file deleted out from under a live store before
+        any read mapped it turns its entries into clean misses — never
+        FileNotFoundError — so callers fall back to compute."""
         directory = str(tmp_path / "s")
-        with SaliencyStore(directory, capacity_bytes=16 * 1024,
-                           segment_bytes=4 * 1024,
-                           write_behind=False) as writer:
+        with SaliencyStore(directory, segment_bytes=4 * 1024,
+                           write_behind=False) as store:
             for i in range(10):
-                writer.put(_key(i), _result(i, side=16), cost_ms=1.0)
-            writer.flush()
-            reader = SaliencyStore.open_readonly(
-                directory, snapshot=writer.index_snapshot())
-            try:
-                # Flood the writer past capacity so compaction retires
-                # segments the reader's one-time snapshot references.
-                for i in range(10, 60):
-                    writer.put(_key(i), _result(i, side=16), cost_ms=1.0)
-                    writer.flush()
-                assert writer.stats()["compactions"] >= 1
-                for i in range(10):        # hit or miss, never raise
-                    reader.get(_key(i))
-                assert reader.stats()["misses"] >= 1
-            finally:
-                reader.close()
+                store.put(_key(i), _result(i, side=16), cost_ms=1.0)
+            store.flush()
+            assert store.stats()["segments"] >= 2
+            os.unlink(os.path.join(directory, "seg-00000000.seg"))
+            found = [store.get(_key(i)) is not None for i in range(10)]
+            assert not all(found) and any(found)
+            assert store.stats()["misses"] == found.count(False)
+            # The stale entries were forgotten, not left to fail again.
+            assert len(store) == found.count(True)
 
 
 # ----------------------------------------------------------------------
@@ -264,32 +253,7 @@ class TestSingleWriter:
             SaliencyStore(directory)
         store.close()
         with SaliencyStore(directory) as second:          # lock released
-            assert not second.read_only
-
-    def test_read_only_opener_and_snapshot(self, tmp_path):
-        directory = str(tmp_path / "s")
-        with SaliencyStore(directory) as writer:
-            _populate(writer, 3, cost=4.0)
-            # Readers coexist with the live writer: snapshot attach.
-            reader = SaliencyStore.open_readonly(
-                directory, snapshot=writer.index_snapshot())
-            try:
-                assert reader.read_only
-                hit = reader.get(_key(1))
-                assert hit is not None and hit[1] == 5.0
-                with pytest.raises(StoreClosed, match="read-only"):
-                    reader.put(_key(9), _result(9))
-            finally:
-                reader.close()
-        # Directory-scan read-only open (no writer, no snapshot).
-        reader = SaliencyStore.open_readonly(directory)
-        try:
-            assert all(reader.get(_key(i)) is not None for i in range(3))
-        finally:
-            reader.close()
-        # The reader must not have stolen the writer lock.
-        with SaliencyStore(directory) as writer2:
-            assert writer2.stats()["entries"] == 3
+            second.put(_key(0), _result(0))
 
 
 # ----------------------------------------------------------------------
@@ -324,52 +288,32 @@ class TestEngineWarmRestart:
                 assert w.label == o.label
                 assert w.image_digest == o.image_digest
 
-    def test_all_store_hit_batch_skips_scheduler_observe(self, tmp_path):
-        """A batch every request of which was a worker store hit did no
-        compute: it must not feed the scheduler a fabricated
-        zero-millisecond observation that would drag the adaptive
-        per-map cost estimate toward zero."""
-        from repro.explain.base import SaliencyResult as SR
-
-        class _StoreHitExecutor:
-            """Remote-compute stub whose every result is a store hit."""
-
-            name = "fake-remote"
-
-            def submit(self, fn, *args):
-                from concurrent.futures import Future
-                future = Future()
-                future.set_running_or_notify_cancel()
-                try:
-                    future.set_result(fn(*args))
-                except BaseException as exc:   # noqa: BLE001
-                    future.set_exception(exc)
-                return future
-
-            def shutdown(self, wait=True):
-                pass
-
-            def run_batch(self, method, images, labels, targets,
-                          keys=None):
-                results = [SR(np.zeros(images.shape[2:], np.float32),
-                              int(y), meta={"store_hit": True,
-                                            "store_cost_ms": 7.0})
-                           for y in labels]
-                return results, 0.0
-
-        engine = ExplainEngine(None, {"stub": CountingStub()},
-                               max_batch=2, min_batch=1,
-                               store=str(tmp_path / "s"),
-                               executor=_StoreHitExecutor())
-        try:
-            observations = []
-            engine._scheduler.observe = (
-                lambda *args, **kwargs: observations.append(args))
-            engine.explain_batch(_images(2), np.array([0, 1]), "stub")
-            assert engine.stats()["batches_run"] >= 1
-            assert observations == []
-        finally:
-            engine.close()
+    def test_process_pool_restart_serves_from_store(self, tmp_path):
+        """The engine probes the store before a batch reaches the pool,
+        so a restarted process-pool engine serves everything from disk
+        and its workers compute nothing."""
+        directory = str(tmp_path / "store")
+        spec = demo_spec(("gradcam",))
+        classifier, explainers = spec.materialize()
+        images = _images(4, side=16)
+        labels = np.array([0, 1, 0, 1], dtype=np.int64)
+        runs = []
+        for _ in range(2):
+            executor = ProcessExecutor(spec, workers=2)
+            with ExplainEngine(classifier, explainers, max_batch=4,
+                               store=directory,
+                               executor=executor) as engine:
+                maps = engine.explain_batch(images, labels, "gradcam")
+                computed = sum(w["maps"] for w in executor.worker_stats())
+                runs.append((maps, computed, engine.stats()))
+        (first, first_computed, _), (warm, computed, stats) = runs
+        assert first_computed == 4
+        assert computed == 0
+        assert stats["store_served"] == 4
+        for w, o in zip(warm, first):
+            np.testing.assert_allclose(w.saliency, o.saliency,
+                                       rtol=2e-3, atol=2e-3)
+            assert w.label == o.label
 
     def test_engine_without_store_reports_none(self):
         with ExplainEngine(None, {"stub": CountingStub()},
@@ -379,61 +323,6 @@ class TestEngineWarmRestart:
             assert stats["store"] is None
             assert stats["store_served"] == 0
             assert stats["hit_rate"] == 0.0
-
-
-# ----------------------------------------------------------------------
-class TestWorkerStore:
-    def test_worker_serves_store_hits_read_only(self, tmp_path):
-        directory = str(tmp_path / "store")
-        spec = demo_spec(("gradcam",))
-        classifier, explainers = spec.materialize()
-        images = _images(4, side=16)
-        labels = np.array([0, 1, 0, 1], dtype=np.int64)
-
-        # Populate through a serial engine sharing the worker's spec.
-        with ExplainEngine(classifier, explainers, max_batch=4,
-                           store=directory) as engine:
-            originals = engine.explain_batch(images, labels, "gradcam")
-
-        executor = ProcessExecutor(spec, workers=1)
-        reader = SaliencyStore.open_readonly(directory)
-        try:
-            attached = executor.attach_store(directory,
-                                             reader.index_snapshot())
-            assert attached == 1
-            keys = [list(request_key(images[i], "gradcam",
-                                     int(labels[i]), None))
-                    for i in range(4)]
-            results, batch_ms = executor.run_batch("gradcam", images,
-                                                   labels, None,
-                                                   keys=keys)
-            assert all(r.meta.get("store_hit") for r in results)
-            for r, o in zip(results, originals):
-                np.testing.assert_allclose(r.saliency, o.saliency,
-                                           rtol=2e-3, atol=2e-3)
-            worker = executor.worker_stats()
-            assert sum(w["store"]["hits"] for w in worker) == 4
-            assert sum(w["maps"] for w in worker) == 0    # no compute
-
-            # Mixed batch: two known keys, two unknown — the worker
-            # computes only the misses and bills only their wall time.
-            mixed = np.concatenate([images[:2], _images(2, side=16) + 5.0])
-            mixed_labels = np.array([0, 1, 0, 1], dtype=np.int64)
-            mixed_keys = [list(request_key(mixed[i], "gradcam",
-                                           int(mixed_labels[i]), None))
-                          for i in range(4)]
-            results, _ = executor.run_batch("gradcam", mixed,
-                                            mixed_labels, None,
-                                            keys=mixed_keys)
-            flags = [bool(r.meta.get("store_hit")) for r in results]
-            assert flags == [True, True, False, False]
-            worker = executor.worker_stats()
-            assert sum(w["store"]["hits"] for w in worker) == 6
-            assert sum(w["store"]["misses"] for w in worker) == 2
-            assert sum(w["maps"] for w in worker) == 2
-        finally:
-            reader.close()
-            executor.shutdown()
 
 
 # ----------------------------------------------------------------------

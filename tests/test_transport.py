@@ -1,16 +1,20 @@
-"""Shared-memory transport suite: pipe-vs-shm parity across every
-Table II method, arena growth and generation retirement, stale/oversize
-fallbacks to the pipe codec, worker-crash recovery, and — the resource
-contract — zero leaked ``/dev/shm`` segments after shutdown *or* crash.
+"""Shared-memory transport suite: pool-vs-in-process parity across
+every Table II method (over the arena and over the pipe leg), arena
+growth and generation retirement, the stale/oversize/error legs of the
+pool protocol, worker-crash recovery, and — the resource contract —
+zero leaked ``/dev/shm`` segments after shutdown *or* crash.
 """
 
 import glob
 import os
+import pickle
 import threading
 
 import numpy as np
 import pytest
+from conftest import force_pipe_replies
 
+from repro import nn
 from repro.explain import (CAEExplainer, FullGradExplainer, GradCAMExplainer,
                            ICAMExplainer, LAGANExplainer, LimeExplainer,
                            OcclusionExplainer, SimpleFullGradExplainer,
@@ -18,15 +22,11 @@ from repro.explain import (CAEExplainer, FullGradExplainer, GradCAMExplainer,
                            TABLE2_METHODS, TSCAMExplainer, train_icam,
                            train_lagan, train_stylex, train_tscam)
 from repro.serve import (EngineSpec, ExplainEngine, ProcessExecutor,
-                         WorkerCrashed, demo_spec, have_shared_memory,
-                         resolve_transport)
-from repro.serve.transport import (ENV_TRANSPORT, ShmArena, segment_base)
+                         WorkerCrashed, demo_spec)
+from repro.serve.transport import ShmArena, segment_base
 from repro.serve.worker import decode_results, worker_main
 
 from test_explain_batch import assert_saliency_close
-
-pytestmark = pytest.mark.skipif(
-    not have_shared_memory(), reason="multiprocessing.shared_memory missing")
 
 _HAVE_DEV_SHM = os.path.isdir("/dev/shm")
 
@@ -55,35 +55,11 @@ def _images(n: int, side: int = 16, channels: int = 1) -> np.ndarray:
         .astype(np.float32)
 
 
-class TestResolveTransport:
-    def test_explicit_choice_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_TRANSPORT, "pipe")
-        assert resolve_transport("shm") == "shm"
-        assert resolve_transport("pipe") == "pipe"
-
-    def test_auto_honours_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_TRANSPORT, "pipe")
-        assert resolve_transport("auto") == "pipe"
-        monkeypatch.setenv(ENV_TRANSPORT, "shm")
-        assert resolve_transport("auto") == "shm"
-
-    def test_auto_defaults_to_shm_when_available(self, monkeypatch):
-        monkeypatch.delenv(ENV_TRANSPORT, raising=False)
-        assert resolve_transport("auto") == "shm"
-
-    def test_unknown_values_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown transport"):
-            resolve_transport("tcp")
-        monkeypatch.setenv(ENV_TRANSPORT, "smoke-signals")
-        with pytest.raises(ValueError, match=ENV_TRANSPORT):
-            resolve_transport("auto")
-
+class TestArenaGrowth:
     def test_segment_base_strips_generation(self):
         assert segment_base("rtxab-0w1s0o-g17") == "rtxab-0w1s0o"
         assert segment_base("rtxab-0w1s0o-g18") == "rtxab-0w1s0o"
 
-
-class TestArenaGrowth:
     def test_grows_geometrically_and_retires_old_segments(self):
         arena = ShmArena("rtxtest-growth", slots=2, initial_bytes=4096)
         try:
@@ -119,12 +95,12 @@ class TestArenaGrowth:
 
 
 @pytest.fixture(scope="module")
-def table2_pools(tiny_train_set, tiny_classifier, tiny_cae, tiny_manifold,
-                 tiny_config):
-    """One single-worker pool per transport, both materializing the
-    *same* prebuilt Table II explainer suite (trained once here,
-    shipped pickled through the spec), so any divergence between the
-    pools is the transport's fault and nothing else's."""
+def table2_pool(tiny_train_set, tiny_classifier, tiny_cae, tiny_manifold,
+                tiny_config):
+    """A single-worker pool materializing a prebuilt Table II explainer
+    suite (trained once here, shipped pickled through the spec), plus an
+    untouched in-process copy of the same pickled suite — any
+    divergence between the two is the pool's fault and nothing else's."""
     models = {
         "tscam": train_tscam(tiny_train_set, epochs=1, dim=8),
         "stylex": train_stylex(tiny_train_set, tiny_classifier, epochs=1),
@@ -152,15 +128,31 @@ def table2_pools(tiny_train_set, tiny_classifier, tiny_cae, tiny_manifold,
         "cae": CAEExplainer(tiny_cae, tiny_manifold, tiny_classifier,
                             steps=4),
     }
+    reference = pickle.loads(pickle.dumps(explainers))
     spec = EngineSpec("transport_spec_util:prebuilt",
                       kwargs=dict(explainers=explainers))
-    shm = ProcessExecutor(spec, workers=1, transport="shm")
-    pipe = ProcessExecutor(spec, workers=1, transport="pipe")
-    yield shm, pipe
-    prefixes = _arena_prefixes(shm)
-    shm.shutdown()
-    pipe.shutdown()
+    pool = ProcessExecutor(spec, workers=1)
+    yield pool, reference
+    prefixes = _arena_prefixes(pool)
+    pool.shutdown()
     _assert_no_leaks(prefixes)
+
+
+def _in_process(explainer, images, labels, targets=None):
+    """The reference run: the tape, under the same needs_gradients /
+    no_grad contract the engine and the workers apply."""
+    if explainer.needs_gradients:
+        return explainer.explain_batch(images, labels, targets)
+    with nn.no_grad():
+        return explainer.explain_batch(images, labels, targets)
+
+
+def _assert_same_maps(got, want) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.label == b.label
+        assert a.target_label == b.target_label
+        assert_saliency_close(a.saliency, b.saliency)
 
 
 @pytest.fixture(scope="module")
@@ -172,113 +164,98 @@ def parity_batch(tiny_train_set):
 
 
 class TestPipeShmParity:
-    @pytest.mark.parametrize("name", TABLE2_METHODS + ("occlusion",))
-    def test_parity(self, table2_pools, parity_batch, name):
-        shm, pipe = table2_pools
-        images, labels = parity_batch
-        via_shm, _ = shm.run_batch(name, images, labels, None)
-        via_pipe, _ = pipe.run_batch(name, images, labels, None)
-        assert len(via_shm) == len(via_pipe) == len(images)
-        for a, b in zip(via_shm, via_pipe):
-            assert a.label == b.label
-            assert a.target_label == b.target_label
-            assert_saliency_close(a.saliency, b.saliency)
+    """Every method through the pool — once over the arena (``ok_shm``)
+    and once over the pipe leg (``ok_pipe``) — matches the in-process
+    reference."""
 
-    def test_parity_with_targets(self, table2_pools, parity_batch):
-        shm, pipe = table2_pools
+    @pytest.mark.parametrize("name", TABLE2_METHODS + ("occlusion",))
+    def test_parity(self, table2_pool, parity_batch, name, monkeypatch):
+        pool, reference = table2_pool
+        images, labels = parity_batch
+        want = _in_process(reference[name], images, labels)
+        via_shm, _ = pool.run_batch(name, images, labels, None)
+        oversize = pool.transport_stats()["fallbacks_oversize"]
+        force_pipe_replies(monkeypatch)
+        via_pipe, _ = pool.run_batch(name, images, labels, None)
+        assert pool.transport_stats()["fallbacks_oversize"] == oversize + 1
+        _assert_same_maps(via_shm, want)
+        _assert_same_maps(via_pipe, want)
+
+    def test_parity_with_targets(self, table2_pool, parity_batch):
+        pool, reference = table2_pool
         images, labels = parity_batch
         targets = np.where(labels == 0, 1, 0).astype(np.int64)
-        via_shm, _ = shm.run_batch("gradcam", images, labels, targets)
-        via_pipe, _ = pipe.run_batch("gradcam", images, labels, targets)
-        for a, b in zip(via_shm, via_pipe):
-            assert a.target_label == b.target_label
-            assert_saliency_close(a.saliency, b.saliency)
+        via_shm, _ = pool.run_batch("gradcam", images, labels, targets)
+        _assert_same_maps(via_shm, _in_process(reference["gradcam"],
+                                               images, labels, targets))
 
-    def test_pipe_pool_has_no_arenas(self, table2_pools):
-        _, pipe = table2_pools
-        assert pipe.transport == "pipe"
-        assert all(channel.arena is None for channel in pipe._all)
-        stats = pipe.transport_stats()
-        assert stats["mode"] == "pipe"
-        assert stats["shm_batches"] == 0
-        assert stats["pipe_payload_bytes"] > 0
-        assert stats["arena_bytes"] == 0
-
-    def test_shm_pool_moved_no_pipe_payload(self, table2_pools):
-        shm, _ = table2_pools
-        assert shm.transport == "shm"
-        stats = shm.transport_stats()
-        assert stats["mode"] == "shm"
-        assert stats["shm_batches"] > 0
-        assert stats["shm_bytes_moved"] > 0
-        assert stats["copies_avoided"] > 0
-        # Every payload crossed through the arenas: nothing fell back.
-        assert stats["pipe_payload_bytes"] == 0
-        assert stats["fallbacks"] == 0
+    def test_shm_pool_moved_no_pipe_payload(self, table2_pool,
+                                            parity_batch):
+        pool, _ = table2_pool
+        images, labels = parity_batch
+        before = pool.transport_stats()
+        pool.run_batch("gradcam", images, labels, None)
+        after = pool.transport_stats()
+        assert after["shm_batches"] == before["shm_batches"] + 1
+        assert after["shm_bytes_moved"] > before["shm_bytes_moved"]
+        assert after["copies_avoided"] > before["copies_avoided"]
+        # The payload crossed through the arena: nothing fell back.
+        assert after["pipe_payload_bytes"] == before["pipe_payload_bytes"]
+        assert after["fallbacks"] == before["fallbacks"]
 
 
 @pytest.fixture(scope="module")
-def demo_pools():
-    """Two shared 2-worker demo pools (one per transport) for the
-    engine-level tests.  Engines built on them must not be closed —
-    the fixture owns the shutdown and the leak assertion."""
+def demo_pool():
+    """A shared 2-worker demo pool for the engine-level tests.  Engines
+    built on it must not be closed — the fixture owns the shutdown and
+    the leak assertion."""
     spec = demo_spec(("gradcam", "occlusion", "echo", "slow"),
                      slow_ms=50.0)
     classifier, explainers = spec.materialize()
-    shm = ProcessExecutor(spec, workers=2, transport="shm")
-    pipe = ProcessExecutor(spec, workers=2, transport="pipe")
-    yield classifier, explainers, shm, pipe
-    prefixes = _arena_prefixes(shm)
-    shm.shutdown()
-    pipe.shutdown()
+    pool = ProcessExecutor(spec, workers=2)
+    yield classifier, explainers, pool
+    prefixes = _arena_prefixes(pool)
+    pool.shutdown()
     _assert_no_leaks(prefixes)
-    assert all(not c.process.is_alive()
-               for ex in (shm, pipe) for c in ex._all)
+    assert all(not c.process.is_alive() for c in pool._all)
 
 
 class TestEngineTransport:
-    def test_engine_parity_and_stats_sections(self, demo_pools):
-        classifier, explainers, shm, pipe = demo_pools
+    def test_engine_parity_and_stats_sections(self, demo_pool):
+        classifier, explainers, pool = demo_pool
         images = _images(6)
         labels = np.array([0, 1, 0, 1, 0, 1])
-        results = {}
-        for executor in (shm, pipe):
-            engine = ExplainEngine(classifier, explainers, max_batch=4,
-                                   executor=executor)
-            results[executor.transport] = engine.explain_batch(
-                images, labels, "gradcam")
-            transport = engine.stats()["transport"]
-            assert transport["mode"] == executor.transport
-        for a, b in zip(results["shm"], results["pipe"]):
+        with ExplainEngine(classifier, explainers,
+                           max_batch=4) as in_process:
+            want = in_process.explain_batch(images, labels, "gradcam")
+            assert in_process.stats()["transport"] is None
+        engine = ExplainEngine(classifier, explainers, max_batch=4,
+                               executor=pool)
+        got = engine.explain_batch(images, labels, "gradcam")
+        transport = engine.stats()["transport"]
+        assert transport["shm_batches"] >= 2
+        assert transport["fallbacks"] == 0
+        for a, b in zip(got, want):
             assert a.label == b.label
             assert_saliency_close(a.saliency, b.saliency)
 
-    def test_echo_payload_roundtrip_is_exact(self, demo_pools):
+    def test_echo_payload_roundtrip_is_exact(self, demo_pool):
         # The echo method is pure payload: byte-exact round-trip through
         # the arenas (float32 in, float32 mean out — no method noise).
-        _, _, shm, _ = demo_pools
+        _, _, pool = demo_pool
         images = _images(5, side=24)
         labels = np.zeros(5, dtype=np.int64)
-        results, _ = shm.run_batch("echo", list(images), labels, None)
+        results, _ = pool.run_batch("echo", list(images), labels, None)
         for i, result in enumerate(results):
             np.testing.assert_array_equal(result.saliency,
                                           images[i].mean(axis=0))
-
-    def test_transport_env_knob_reaches_executor(self, monkeypatch):
-        monkeypatch.setenv(ENV_TRANSPORT, "pipe")
-        executor = ProcessExecutor(demo_spec(("gradcam",)), workers=1)
-        try:
-            assert executor.transport == "pipe"
-            assert all(c.arena is None for c in executor._all)
-        finally:
-            executor.shutdown()
 
     def test_double_buffering_overlaps_sends(self):
         # One worker, two slots: two concurrent batches of the sleeper
         # must double-buffer onto the same channel (the second send
         # lands while the first still computes).
         executor = ProcessExecutor(demo_spec(("slow",), slow_ms=100.0),
-                                   workers=1, transport="shm")
+                                   workers=1)
         prefixes = _arena_prefixes(executor)
         try:
             images = _images(2)
@@ -308,7 +285,7 @@ class TestCrashHygiene:
     def test_crash_mid_batch_retries_on_survivor_and_unlinks(self):
         spec = demo_spec(("exit", "gradcam"))
         classifier, explainers = spec.materialize()
-        executor = ProcessExecutor(spec, workers=2, transport="shm")
+        executor = ProcessExecutor(spec, workers=2)
         prefixes = _arena_prefixes(executor)
         engine = ExplainEngine(classifier, explainers, max_batch=1,
                                executor=executor)
@@ -334,8 +311,7 @@ class TestCrashHygiene:
         assert all(not c.process.is_alive() for c in executor._all)
 
     def test_shutdown_unlinks_every_segment(self):
-        executor = ProcessExecutor(demo_spec(("echo",)), workers=2,
-                                   transport="shm")
+        executor = ProcessExecutor(demo_spec(("echo",)), workers=2)
         prefixes = _arena_prefixes(executor)
         images = _images(4)
         labels = np.zeros(4, dtype=np.int64)
@@ -349,15 +325,15 @@ class TestCrashHygiene:
 
 class TestWorkerFallbacks:
     """Drive ``worker_main`` directly (in a thread, over a local pipe)
-    to pin the fallback legs of the protocol without having to corrupt
-    a live pool's arenas."""
+    to pin the fallback and error legs of the protocol without having
+    to corrupt a live pool's arenas."""
 
     @pytest.fixture()
     def worker(self):
         import multiprocessing
         parent, child = multiprocessing.Pipe()
         thread = threading.Thread(
-            target=worker_main, args=(child, demo_spec(("echo",))),
+            target=worker_main, args=(child, demo_spec(("echo", "boom"))),
             daemon=True)
         thread.start()
         kind, _pid = parent.recv()
@@ -374,12 +350,15 @@ class TestWorkerFallbacks:
         labels = np.zeros(2, dtype=np.int64)
         out_desc = ("rtx-no-such-segment-g1", 4096,
                     tuple(images.shape), "float32")
-        worker.send(("shm_batch", 0, "echo", out_desc,
-                     ("rtx-no-such-ret-g1", 4096), labels, None, None))
-        assert worker.recv() == ("shm_stale", 0)
-        worker.send(("batch_slot", 0, "echo", images, labels, None, None))
-        kind, slot, payload, _batch_ms, need = worker.recv()
-        assert (kind, slot, need) == ("ok_pipe", 0, 0)
+        worker.send(("shm_batch", 1, "echo", out_desc,
+                     ("rtx-no-such-ret-g1", 4096), labels, None))
+        assert worker.recv() == ("shm_stale", 1)
+        worker.send(("pipe_batch", 1, "echo", images, labels, None))
+        kind, slot, (pid, recv_at, done_at), batch_ms, payload, need = \
+            worker.recv()
+        assert (kind, slot, need) == ("ok_pipe", 1, 0)
+        assert pid == os.getpid() and recv_at <= done_at
+        assert batch_ms >= 0.0
         results = decode_results(payload)
         np.testing.assert_allclose(results[1].saliency,
                                    images[1].mean(axis=0), rtol=1e-6)
@@ -395,9 +374,11 @@ class TestWorkerFallbacks:
             # refuse the in-place write and pipe the payload back with
             # the byte count the parent turns into a growth hint.
             worker.send(("shm_batch", 0, "echo", out_desc,
-                         (ret_desc[0], 8), labels, None, None))
-            kind, slot_index, payload, _batch_ms, need = worker.recv()
+                         (ret_desc[0], 8), labels, None))
+            kind, slot_index, stamps, _batch_ms, payload, need = \
+                worker.recv()
             assert (kind, slot_index) == ("ok_pipe", 0)
+            assert len(stamps) == 3
             assert need == 2 * 8 * 8 * 4
             results = decode_results(payload)
             np.testing.assert_allclose(results[0].saliency,
@@ -406,14 +387,14 @@ class TestWorkerFallbacks:
             arena.close()
         _assert_no_leaks(["rtxtest-oversize"])
 
-    def test_legacy_pipe_framing_unchanged(self, worker):
-        # The PR 5 codec must keep working byte-for-byte: same message
-        # kinds in, same reply shape out.
-        from repro.serve.worker import encode_batch
-        images = _images(3, side=8)
-        labels = np.zeros(3, dtype=np.int64)
-        worker.send(encode_batch("echo", images, labels, None))
-        kind, payload, batch_ms = worker.recv()
-        assert kind == "ok"
-        assert len(decode_results(payload)) == 3
-        assert batch_ms >= 0.0
+    def test_remote_error_is_slot_routed_with_stamps(self, worker):
+        images = _images(1, side=8)
+        worker.send(("pipe_batch", 1, "boom", images,
+                     np.zeros(1, dtype=np.int64), None))
+        kind, slot, stamps, method, exc_type, message, remote_tb = \
+            worker.recv()
+        assert (kind, slot, method, exc_type) == ("error", 1, "boom",
+                                                  "RuntimeError")
+        assert len(stamps) == 3
+        assert "injected worker failure" in message
+        assert "injected worker failure" in remote_tb

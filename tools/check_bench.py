@@ -36,9 +36,8 @@ comparable when the smoke run shrinks the workload:
 * ``*_rps`` — throughput, **higher is better**: fail when
   ``current < baseline / threshold``.  This suffix rule picks up new
   rate metrics with no changes here — e.g. ``bench_serve``'s nested
-  ``transport`` section contributes ``transport.shm_rps`` and
-  ``transport.pipe_rps`` (the shm-vs-pipe A/B at batch 16)
-  automatically.
+  ``transport`` section contributes ``transport.shm_rps`` (the
+  process pool's shared-memory transport at batch 16) automatically.
 
 Workload-scale-dependent values (counts, totals like
 ``blocked_ms_total``, ratios like ``*_speedup``) never gate, and
