@@ -16,8 +16,9 @@ writes per-class latency percentiles into the ``slo`` section of
   tenants, plus ``bulk`` arriving in periodic *bursts* (a Table-style
   sweep dumping a chunk of work at once).  Interactive requests carry a
   deadline; the same seeded trace replays for every engine variant.
-* **A/B** — the identical trace runs with ``priority=True`` and
-  ``priority=False`` (legacy insertion-order flush).  Per-class
+* **A/B** — the identical trace runs with the scheduler's priority
+  pop order and with an insertion-order reference (the scheduler's
+  ``_pop_order`` replaced by the identity).  Per-class
   p50/p95/p99 (from each request's ``RequestContext`` stage stamps),
   deadline-miss rate, and served throughput are recorded for both.
 
@@ -111,10 +112,13 @@ def make_engine(num_classes, in_channels, priority: bool, workers: int,
     spec = demo_spec(METHODS, num_classes=num_classes,
                      in_channels=in_channels, width=WIDTH)
     classifier, explainers = spec.materialize()
-    return ExplainEngine(classifier, explainers, max_batch=max_batch,
-                         max_delay_ms=5.0, cache_size=16,
-                         executor=ThreadedExecutor(workers=workers),
-                         priority=priority)
+    engine = ExplainEngine(classifier, explainers, max_batch=max_batch,
+                           max_delay_ms=5.0, cache_size=16,
+                           executor=ThreadedExecutor(workers=workers))
+    if not priority:
+        # The reference arm: ready queues pop in insertion order.
+        engine._scheduler._pop_order = lambda keys, now: keys
+    return engine
 
 
 def calibrate(num_classes, in_channels, images, workers, max_batch,

@@ -208,22 +208,14 @@ class ExperimentContext:
                                       cache_dir=self.cache_dir,
                                       include=include))
 
-    def engine(self, include: Optional[tuple] = None, max_batch: int = 16,
-               max_delay_ms: Optional[float] = None,
-               min_batch: Optional[int] = None,
-               target_batch_ms: float = 200.0,
-               cache_size: int = 256, cache_shards: int = 4,
-               eviction: str = "lru",
-               max_pending: Optional[int] = None, policy: str = "block",
-               tenant_quota: Optional[int] = None,
-               tenant_quotas: Optional[dict] = None,
-               executor=None, workers: Optional[int] = None,
-               store=None, priority: bool = True,
-               aging_ms: float = 1000.0):
+    def engine(self, include: Optional[tuple] = None, executor=None,
+               workers: Optional[int] = None, **options):
         """The serving-layer :class:`~repro.serve.ExplainEngine` over this
         context's classifier + suite, so repeated sweeps hit the saliency
-        cache and share micro-batched model calls.  The engine is cached
-        per configuration: calling again with the same arguments returns
+        cache and share micro-batched model calls.  ``options`` pass
+        straight to the engine (its docstring lists them); the cache
+        defaults to 4 shards here.  The engine is cached per
+        configuration: calling again with the same arguments returns
         the same engine (warm cache); different arguments rebuild it —
         **invalidating** a previously returned engine whose executor the
         context created ("serial"/"threaded"/"process" strings): its
@@ -235,35 +227,16 @@ class ExperimentContext:
         size; ``executor="process"`` derives the worker-side
         :meth:`engine_spec` automatically, so each worker process
         materializes its own model replicas from the disk cache this
-        call populates.  The cache defaults to 4 shards.
-        The admission-control knobs pass straight through:
-        ``min_batch``/``target_batch_ms`` turn on adaptive per-queue
-        micro-batching, ``eviction`` picks "lru" or cost-aware "cost",
-        and ``max_pending``/``policy`` bound async ingestion (block or
-        reject on overload).  ``store`` names a directory for the
-        persistent saliency tier (warm restarts: a rebuilt engine on
-        the same directory serves yesterday's maps from disk); the
-        engine owns it for its lifetime — single-writer rule — so two
-        live engines must not share one directory.
-        ``priority``/``aging_ms`` control SLO-aware flush ordering:
-        with ``priority`` on (default) ready queues flush
-        interactive-before-bulk with starvation aging; off restores the
-        legacy insertion-order flush.
-        ``tenant_quota``/``tenant_quotas`` bound each tenant's unique
-        unresolved requests (per-tenant fairness admission; over-quota
-        submits raise :class:`~repro.serve.TenantOverQuota`).
+        call populates.  A ``store`` directory is owned by the engine
+        for its lifetime (single-writer rule), so two live engines must
+        not share one.
         """
-        config = (include, max_batch, max_delay_ms, cache_size,
-                  cache_shards, executor, min_batch, target_batch_ms,
-                  eviction, max_pending, policy, workers,
-                  None if store is None else os.fspath(store),
-                  priority, aging_ms, tenant_quota,
-                  None if tenant_quotas is None
-                  else tuple(sorted(tenant_quotas.items())))
+        options.setdefault("cache_shards", 4)
+        config = (include, executor, workers, sorted(options.items()))
         if self._engine is None or self._engine[0] != config:
             from ..serve import ExplainEngine, make_executor
             if self._engine is not None:
-                old_executor = self._engine[0][5]
+                old_executor = self._engine[0][1]
                 if old_executor is None or isinstance(old_executor, str):
                     self._engine[1].close()
             # suite() caches whatever method set it was first built with,
@@ -289,14 +262,8 @@ class ExperimentContext:
                     executor, spec=self.engine_spec(include),
                     workers=workers)
             self._engine = (config, ExplainEngine(
-                self.classifier, explainers,
-                max_batch=max_batch, max_delay_ms=max_delay_ms,
-                min_batch=min_batch, target_batch_ms=target_batch_ms,
-                cache_size=cache_size, cache_shards=cache_shards,
-                eviction=eviction, max_pending=max_pending, policy=policy,
-                tenant_quota=tenant_quota, tenant_quotas=tenant_quotas,
-                executor=engine_executor, store=store,
-                priority=priority, aging_ms=aging_ms))
+                self.classifier, explainers, executor=engine_executor,
+                **options))
         return self._engine[1]
 
     # ------------------------------------------------------------------

@@ -60,8 +60,8 @@ The package splits the serving layer into four pieces:
   counted in ``stats()["plans"]["fallbacks"]``.  The in-process engine
   (serial/threaded executors) holds one cache; **process workers
   compile per-replica** — each worker owns a private ``PlanCache``
-  because buffer arenas cannot cross process boundaries, and reports
-  its counters through the executor's ``stats`` channel.
+  because buffer arenas cannot cross process boundaries, and its
+  counters ride every batch reply into the engine's ``stats()``.
 * :mod:`~repro.serve.store` — :class:`SaliencyStore`: the persistent
   second cache tier.  Content-addressed on the same cache key,
   float16-quantized records in append-only segment files, a journaled

@@ -43,7 +43,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .. import nn
 from ..explain.base import Explainer, SaliencyResult
 from .cache import (CacheKey, SaliencyCache, ShardedSaliencyCache,
                     image_digest, request_key)
@@ -60,22 +59,20 @@ __all__ = ["EngineOverloaded", "TenantOverQuota", "ExplainEngine",
 
 ADMISSION_POLICIES = ("block", "reject")
 
+#: Backoff hint (seconds) carried on :class:`TenantOverQuota`, which the
+#: HTTP tier sends as ``Retry-After``.
+QUOTA_RETRY_AFTER_S = 1.0
+
 
 def _merge_plan_stats(parent: Optional[Dict], worker_stats: List[dict]
-                      ) -> Optional[Dict]:
+                      ) -> Dict:
     """Fold per-worker ``plans`` dicts into the engine-level section:
     counters sum across replicas (each compiles/replays its own plans);
     ``arena_bytes`` takes the max — arenas are peak per-process memory,
     not additive."""
-    merged = dict(parent) if parent is not None else None
+    merged = dict(parent or {})
     for worker in worker_stats:
-        plans = worker.get("plans")
-        if not plans:
-            continue
-        if merged is None:
-            merged = dict(plans)
-            continue
-        for key, value in plans.items():
+        for key, value in (worker.get("plans") or {}).items():
             if key == "arena_bytes":
                 merged[key] = max(merged.get(key, 0), value)
             else:
@@ -260,9 +257,6 @@ class ExplainEngine:
         Per-tenant overrides of ``tenant_quota`` (``tenant -> slice``).
         A tenant listed here is quota'd even when ``tenant_quota`` is
         ``None``.
-    quota_retry_after_s:
-        Backoff hint carried on :class:`TenantOverQuota` (and surfaced
-        as the HTTP tier's ``Retry-After``).
     executor:
         ``None``/``"serial"`` (inline, deterministic), ``"threaded"``
         (persistent worker threads), or an executor instance — e.g. a
@@ -273,16 +267,10 @@ class ExplainEngine:
         ``run_batch(method, images, labels, targets, ctxs=...)``
         remote-compute channel, the engine hands it each batch's
         per-request image list and contexts and keeps all bookkeeping
-        (cache, dedup fan-out, admission) in-process.
-    plans:
-        Compiled execution plans (default on): plan-eligible methods
-        are traced once per ``(method, batch_shape, dtype)`` key and
-        replayed tape-free thereafter through a
-        :class:`~repro.serve.plans.PlanCache`; everything else (and any
-        shape/dtype or frozen-set mismatch) falls back to the tape,
-        counted in ``stats()["plans"]``.  Process workers keep their own
-        per-replica caches — this flag does not affect them.  ``False``
-        restores the always-tape behaviour.
+        (cache, dedup fan-out, admission) in-process.  Every batch runs
+        through a :class:`~repro.serve.plans.PlanCache` (the engine's,
+        or a process worker's own), which replays compiled plans and
+        falls back to the tape, counted in ``stats()["plans"]``.
     store:
         Persistent second cache tier (default off): a directory path —
         the engine opens a :class:`~repro.serve.store.SaliencyStore`
@@ -293,16 +281,10 @@ class ExplainEngine:
         insert); computed results write behind to it.  Reopening the
         same directory later starts the engine *warm* — the whole
         point.
-    priority:
-        SLO-aware flush ordering (default on): ready queues pop in
-        priority-class order (``interactive`` before ``normal`` before
-        ``bulk``) with starvation aging — a queue's effective rank
-        improves by one class per ``aging_ms`` of queue wait, so a
-        saturating interactive flood can delay bulk work but never
-        starve it.  ``False`` restores insertion-order pops exactly.
-    aging_ms:
-        The starvation bound: extra queue-wait (milliseconds) that
-        promotes a queue by one priority class in the pop order.
+
+    Ready queues pop ``interactive`` before ``normal`` before ``bulk``,
+    and a queue gains one class per ``scheduler.AGING_MS`` it waits, so
+    a flood delays a class but never starves it.
     """
 
     def __init__(self, classifier, explainers: Dict[str, Explainer],
@@ -314,9 +296,7 @@ class ExplainEngine:
                  max_pending: Optional[int] = None, policy: str = "block",
                  tenant_quota: Optional[int] = None,
                  tenant_quotas: Optional[Dict[str, int]] = None,
-                 quota_retry_after_s: float = 1.0,
-                 executor=None, plans: bool = True, store=None,
-                 priority: bool = True, aging_ms: float = 1000.0):
+                 executor=None, store=None):
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1 (or None)")
         if policy not in ADMISSION_POLICIES:
@@ -334,8 +314,7 @@ class ExplainEngine:
                                           policy=eviction)
         self._scheduler = MicroBatchScheduler(
             max_batch, max_delay_ms, min_batch=min_batch,
-            target_batch_ms=target_batch_ms,
-            priority=priority, aging_ms=aging_ms)
+            target_batch_ms=target_batch_ms)
         self._executor = make_executor(executor)
         self._lock = threading.RLock()
         self._inflight: List[Future] = []
@@ -360,7 +339,6 @@ class ExplainEngine:
         # HTTP tier) while the others keep being admitted.
         self.tenant_quota = tenant_quota
         self.tenant_quotas = quotas
-        self.quota_retry_after_s = quota_retry_after_s
         self._tenant_unresolved: Dict[str, int] = {}
         self.quota_rejected = 0
         self._closed = False
@@ -372,7 +350,7 @@ class ExplainEngine:
         # audited for internal thread safety, so concurrency comes from
         # running *different* methods (or shape-queues) in parallel.
         self._method_locks = {name: threading.Lock() for name in explainers}
-        self._plan_cache = PlanCache() if plans else None
+        self._plan_cache = PlanCache()
         # Tier 2: the persistent store.  A path opens one read-write
         # (this engine is the single writer for the directory); an
         # instance is adopted as-is.  Either way close() closes it —
@@ -414,27 +392,16 @@ class ExplainEngine:
         ``plans`` aggregates across replicas when process workers are
         in play: per-worker counters are summed (each replica compiles
         and replays its own plans) with ``arena_bytes`` as the max —
-        arenas are peak per-process memory, not additive.  Gathering
-        worker stats waits for the pool to go idle, so under continuous
-        async load call ``stats()`` after a ``drain()``.
+        arenas are peak per-process memory, not additive.  Each worker's
+        counters are those of its latest batch reply, so ``stats()``
+        never waits on the pool; a batch still in flight is counted
+        once it returns.
         """
         cache = self.cache.stats()
-        # Worker stats ride the channel pipes and wait for idle workers
-        # — gather them only when the pool is idle right now (a stats
-        # probe mid-flight must observe, not drain) and before taking
-        # the engine lock so a slow pool never stalls submits racing
-        # through the locked section below.
-        worker_stats = None
+        plans = self._plan_cache.stats()
         gather = getattr(self._executor, "worker_stats", None)
-        pool_idle = getattr(self._executor, "pool_idle", None)
-        if (gather is not None and not self._closed
-                and (pool_idle is None or pool_idle())):
-            try:
-                worker_stats = gather()
-            except Exception:              # noqa: BLE001 — stats are best-effort
-                worker_stats = None
-        plans = (self._plan_cache.stats()
-                 if self._plan_cache is not None else None)
+        if gather is not None:
+            plans = _merge_plan_stats(plans, gather())
         store = self._store.stats() if self._store is not None else None
         # Transport counters (process pool only): bytes moved per path,
         # copies avoided, arena footprint, fallbacks, and how often a
@@ -446,8 +413,6 @@ class ExplainEngine:
                 transport = transport_gather()
             except Exception:              # noqa: BLE001 — best-effort
                 transport = None
-        if worker_stats:
-            plans = _merge_plan_stats(plans, worker_stats)
         # Combined weighted hit rate across both tiers: compute avoided
         # by tier-1 hits plus tier-2 (store) hits, over that plus the
         # compute actually paid (computed inserts).
@@ -476,8 +441,6 @@ class ExplainEngine:
                 "pending_handles": self._scheduler.pending_handles(),
                 "queues": self._scheduler.queue_stats(),
                 "dedup_hits": self._scheduler.dedup_hits,
-                "priority": self._scheduler.priority,
-                "aging_ms": self._scheduler.aging_ms,
                 "priority_promotions": self._scheduler.promotions,
                 "deadline_expired": self.deadline_expired,
                 "tenants": self._tenant_stats_locked(),
@@ -534,8 +497,7 @@ class ExplainEngine:
             # propagating interrupt — so close() never leaks them.
             self._closed = True
             self._executor.shutdown()
-            if self._plan_cache is not None:
-                self._plan_cache.close()
+            self._plan_cache.close()
             if self._store is not None:
                 # Drains the write-behind queue and snapshots the
                 # journal, so the next engine on this directory opens
@@ -612,21 +574,13 @@ class ExplainEngine:
                 # priorities and shrinks the adaptive batch limit under
                 # load.
                 start = time.perf_counter()
-                if self._plan_cache is not None:
-                    # Compiled-plan path: replay when a plan exists for
-                    # this (method, shape, dtype) key, compile on first
-                    # sight (billed to this batch — an honest cost),
-                    # tape otherwise.  The cache applies the
-                    # needs_gradients/no_grad contract to tape runs.
-                    results = self._plan_cache.run(explainer, images,
-                                                   labels, targets)
-                elif explainer.needs_gradients:
-                    results = explainer.explain_batch(images, labels,
-                                                      targets)
-                else:
-                    with nn.no_grad():
-                        results = explainer.explain_batch(images, labels,
-                                                          targets)
+                # Replay when a plan exists for this (method, shape,
+                # dtype) key, compile on first sight (billed to this
+                # batch — an honest cost), tape otherwise.  The cache
+                # applies the needs_gradients/no_grad contract to tape
+                # runs.
+                results = self._plan_cache.run(explainer, images, labels,
+                                               targets)
                 batch_ms = (time.perf_counter() - start) * 1000.0
         # Measured per-map cost feeds the cost-aware eviction policy
         # (cache insert below) and the queue's adaptive batch limit.
@@ -1148,7 +1102,7 @@ class ExplainEngine:
                 self._count_tenant(ctx.tenant, "quota_rejected")
                 raise TenantOverQuota(
                     ctx.tenant, self._tenant_unresolved[ctx.tenant],
-                    quota, self.quota_retry_after_s)
+                    quota, QUOTA_RETRY_AFTER_S)
             if (dispatch_async and self.max_pending is not None
                     and self._scheduler.lookup(family, key) is None
                     and self._unresolved >= self.max_pending):

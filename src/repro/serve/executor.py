@@ -163,11 +163,14 @@ class _WorkerChannel:
     id every reply carries at index 1, and wakes the waiters on
     ``rcond``.  ``crash`` latches the first transport error so every
     concurrent waiter — not just the receiver that observed EOF —
-    raises :class:`WorkerCrashed`.
+    raises :class:`WorkerCrashed`.  ``counters`` is the worker's
+    cumulative ``{batches, maps, plans}`` from its latest reply; the
+    receiver stores it in pipe order, so it never goes backwards.
     """
 
     __slots__ = ("process", "conn", "arena", "dead", "reaped", "inflight",
-                 "send_lock", "rcond", "replies", "receiving", "crash")
+                 "send_lock", "rcond", "replies", "receiving", "crash",
+                 "counters")
 
     def __init__(self, process, conn, arena: ShmArena):
         self.process = process
@@ -181,6 +184,7 @@ class _WorkerChannel:
         self.replies = {}
         self.receiving = False
         self.crash: Optional[BaseException] = None
+        self.counters: dict = {}
 
 
 class ProcessExecutor:
@@ -239,7 +243,6 @@ class ProcessExecutor:
         self._cond = threading.Condition(self._lock)
         self._all: List[_WorkerChannel] = []
         self._live = 0
-        self._quiesce = 0
         self._closed = False
         seq = next(_ARENA_SEQ)
         try:
@@ -281,6 +284,7 @@ class ProcessExecutor:
                     raise WorkerCrashed(
                         "worker failed to materialize its EngineSpec:\n"
                         + str(message[1]))
+                channel.counters = message[2]
         except BaseException:
             self._terminate_all()
             raise
@@ -300,14 +304,6 @@ class ProcessExecutor:
         with self._lock:
             return self._live
 
-    def pool_idle(self) -> bool:
-        """True when no worker is mid-batch right now.  The engine's
-        ``stats()`` aggregates worker counters only from an idle pool —
-        gathering them waits for idleness, which would silently turn a
-        mid-flight stats probe into a drain."""
-        with self._lock:
-            return all(channel.inflight == 0 for channel in self._all)
-
     def _acquire(self) -> Tuple[_WorkerChannel, ArenaSlot]:
         """Claim a (channel, slot) pair for one batch.  Prefers the
         least-loaded live channel, so an idle worker always wins over
@@ -321,19 +317,18 @@ class ProcessExecutor:
                 if self._live == 0:
                     raise WorkerCrashed(
                         "process pool has no live workers left")
-                if self._quiesce == 0:
-                    best = None
-                    for channel in self._all:
-                        if (channel.dead
-                                or channel.inflight >= _SLOTS_PER_WORKER):
-                            continue
-                        if best is None or channel.inflight < best.inflight:
-                            best = channel
-                    if best is not None:
-                        slot = best.arena.acquire()
-                        self._stats.count_send(best.inflight > 0)
-                        best.inflight += 1
-                        return best, slot
+                best = None
+                for channel in self._all:
+                    if (channel.dead
+                            or channel.inflight >= _SLOTS_PER_WORKER):
+                        continue
+                    if best is None or channel.inflight < best.inflight:
+                        best = channel
+                if best is not None:
+                    slot = best.arena.acquire()
+                    self._stats.count_send(best.inflight > 0)
+                    best.inflight += 1
+                    return best, slot
                 self._cond.wait(timeout=0.1)
 
     def _release(self, channel: _WorkerChannel, slot: ArenaSlot) -> None:
@@ -391,9 +386,10 @@ class ProcessExecutor:
     def _wait_reply(self, channel: _WorkerChannel, slot_index: int):
         """Wait for this slot's reply on a channel that may have two
         batches in flight.  Exactly one waiter at a time is the
-        *receiver*: it recvs the next reply (outside the lock), files it
-        under the slot id at reply index 1, and wakes everyone; waiters
-        whose reply arrived pop it and return.  A recv failure latches
+        *receiver*: it recvs the next reply (outside the lock), stores
+        the worker counters it carries, files it under the slot id at
+        reply index 1, and wakes everyone; waiters whose reply arrived
+        pop it and return.  A recv failure latches
         ``channel.crash`` so every in-flight batch on the channel raises
         :class:`WorkerCrashed`, not just the receiving thread."""
         while True:
@@ -415,6 +411,8 @@ class ProcessExecutor:
                 raise self._crashed(channel) from exc
             with channel.rcond:
                 channel.receiving = False
+                if reply[0] != "shm_stale":
+                    channel.counters = reply[3]
                 channel.replies[reply[1]] = reply
                 channel.rcond.notify_all()
 
@@ -455,19 +453,18 @@ class ProcessExecutor:
                 self._send(channel, ("pipe_batch", slot.index, method,
                                      stacked, labels, targets))
                 reply = self._wait_reply(channel, slot.index)
-            kind, _slot, (pid, recv_at, done_at) = reply[:3]
+            # The receiver already stored the counters (reply[3]).
+            kind, _slot, (pid, recv_at, done_at), _counters, *rest = reply
             for ctx in ctxs or ():
                 ctx.worker_pid = pid
                 ctx.worker_recv_at = recv_at
                 ctx.worker_done_at = done_at
             if kind == "error":
-                _, _, _, err_method, exc_type, text, remote_tb = reply
-                raise WorkerBatchError(err_method, exc_type, text,
-                                       remote_tb)
+                raise WorkerBatchError(*rest)
             if kind == "ok_pipe":
                 # Inline resend, or a reply stack that outgrew the
                 # return segment (the byte need grows it for next time).
-                _, _, _, batch_ms, payload, ret_need = reply
+                batch_ms, payload, ret_need = rest
                 if ret_need:
                     self._stats.count_fallback("oversize")
                     channel.arena.note_ret_need(slot, ret_need)
@@ -477,8 +474,7 @@ class ProcessExecutor:
                              else sum(m.nbytes for m in saliency))
                 self._stats.count_pipe(pipe_out_bytes + ret_bytes)
                 return decode_results(payload), float(batch_ms)
-            _, _, _, batch_ms, ret_shape, out_labels, out_targets, metas = \
-                reply
+            batch_ms, ret_shape, out_labels, out_targets, metas = rest
             view = channel.arena.ret_view(slot, ret_shape)
             try:
                 results = decode_shm_results(view, out_labels, out_targets,
@@ -502,41 +498,15 @@ class ProcessExecutor:
         return self._stats.snapshot(arena_bytes=arena_bytes)
 
     def worker_stats(self) -> List[dict]:
-        """Per-worker ``{pid, batches, maps, plans}`` counters (the
-        dedup benchmark sums ``maps`` to verify exactly-once compute
-        across processes).  Blocks new batches and waits for all live
-        workers to go idle first — call it after ``drain()``, not under
-        load.  The probe fans out all sends first and then collects
-        replies: one round-trip for the whole pool."""
-        with self._cond:
-            self._quiesce += 1
-            while any(channel.inflight > 0 for channel in self._all):
-                if self._closed or self._live == 0:
-                    break
-                self._cond.wait(timeout=0.1)
+        """Per-live-worker ``{pid, batches, maps, plans}`` counters, as
+        of each worker's latest reply (the dedup benchmark sums ``maps``
+        to verify exactly-once compute across processes).  Sends
+        nothing and never waits: a batch still in flight is counted
+        once its reply arrives."""
+        with self._lock:
             channels = [channel for channel in self._all if not channel.dead]
-        stats = []
-        try:
-            pending = []
-            for channel in channels:
-                try:
-                    with channel.send_lock:
-                        channel.conn.send(("stats",))
-                    pending.append(channel)
-                except (EOFError, OSError, BrokenPipeError) as exc:
-                    self._mark_dead(channel, exc)
-            for channel in pending:
-                try:
-                    reply = channel.conn.recv()
-                except (EOFError, OSError, BrokenPipeError) as exc:
-                    self._mark_dead(channel, exc)
-                    continue
-                stats.append(reply[1])
-        finally:
-            with self._cond:
-                self._quiesce -= 1
-                self._cond.notify_all()
-        return stats
+        return [{"pid": channel.process.pid, **channel.counters}
+                for channel in channels]
 
     # -- executor contract ---------------------------------------------
     def submit(self, fn: Callable, *args) -> "Future":

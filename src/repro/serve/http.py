@@ -49,7 +49,7 @@ engine outcome                               status
 malformed JSON / bad image / bad field       400
 missing or unknown API key                   401
 unknown explain method, unknown route        404
-request body over ``max_body_bytes``         413
+request body over ``MAX_BODY_BYTES``         413
 :class:`~repro.serve.engine.TenantOverQuota` 429 (+ ``Retry-After``)
 draining, or global ``EngineOverloaded``     503 (+ ``Retry-After``)
 :class:`~repro.serve.DeadlineExceeded`       504
@@ -91,7 +91,17 @@ __all__ = ["ApiKey", "ServiceConfig", "ExplainService", "HttpDaemon",
 #: Flush deadline (ms) applied to engines that arrive without one: an
 #: async ticket on a partial micro-batch must become "ready" by age so
 #: the kicker thread can dispatch it without a client blocking.
-DEFAULT_FLUSH_MS = 25.0
+FLUSH_MS = 25.0
+#: Period (s) of the kicker thread's ``engine.kick()`` sweep, which
+#: dispatches age-ready partial batches and expires dead requests.
+KICK_INTERVAL_S = 0.025
+#: Unclaimed async tickets are purged this long (s) after creation, so
+#: a client that never polls cannot leak results.
+TICKET_TTL_S = 300.0
+#: Request bodies over this many bytes get ``413``.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Wire encodings of a returned saliency map.
+ENCODINGS = ("b64", "list")
 
 
 class HttpError(Exception):
@@ -126,15 +136,20 @@ def encode_array(array: np.ndarray, encoding: str = "b64") -> dict:
     nests plain JSON lists — bulkier, but curl/jq-friendly.
     """
     array = np.ascontiguousarray(array)
-    if encoding == "list":
+    if _encoding(encoding) == "list":
         return {"shape": list(array.shape), "dtype": str(array.dtype),
                 "data": array.tolist()}
-    if encoding != "b64":
-        raise HttpError(400, f"unknown encoding {encoding!r}; "
-                             "use 'b64' or 'list'")
     little = array.astype(array.dtype.newbyteorder("<"), copy=False)
     return {"shape": list(array.shape), "dtype": str(array.dtype),
             "b64": base64.b64encode(little.tobytes()).decode("ascii")}
+
+
+def _encoding(encoding) -> str:
+    """A known wire encoding, or :class:`HttpError` 400."""
+    if encoding not in ENCODINGS:
+        raise HttpError(400, f"unknown encoding {encoding!r}; "
+                             f"use one of {ENCODINGS}")
+    return encoding
 
 
 def decode_array(obj, dtype=np.float32) -> np.ndarray:
@@ -175,10 +190,16 @@ def decode_array(obj, dtype=np.float32) -> np.ndarray:
 class ApiKey:
     """One API key's identity: the tenant it resolves to, plus an
     optional per-tenant quota slice (merged into the engine's
-    ``tenant_quotas`` at service start)."""
+    ``tenant_quotas`` at service start).  A slice below 1 raises
+    ``ValueError``, as the engine's own quotas do."""
 
     tenant: str
     quota: Optional[int] = None
+
+    def __post_init__(self):
+        if self.quota is not None and self.quota < 1:
+            raise ValueError(f"quota of tenant {self.tenant!r} must be "
+                             f">= 1 (or None); got {self.quota!r}")
 
 
 @dataclass
@@ -192,21 +213,6 @@ class ServiceConfig:
         open: requests run as the anonymous tenant with accounting
         only.  With a table, every ``/v1/*`` request must present a
         known key or gets ``401``.
-    ticket_ttl_s:
-        Unclaimed async tickets are purged this many seconds after
-        creation (a client that never polls must not leak results).
-    max_body_bytes:
-        Request bodies over this limit get ``413``.
-    kick_interval_s:
-        Period of the background kicker thread that sweeps the engine
-        (``engine.kick()``): dispatches age-ready partial batches and
-        expires dead requests, so async tickets resolve without any
-        client blocking on them.
-    flush_ms:
-        Flush deadline installed on engines that have none
-        (``max_delay_ms=None``) — without one, a partial micro-batch
-        never becomes ready by age and a lone async ticket would only
-        resolve when a sync request happened to flush its method.
     verbose:
         Log one line per request to stderr (the ``BaseHTTPRequestHandler``
         format).  Off by default: the handler runs per-request threads
@@ -214,10 +220,6 @@ class ServiceConfig:
     """
 
     api_keys: Optional[Dict[str, ApiKey]] = None
-    ticket_ttl_s: float = 300.0
-    max_body_bytes: int = 64 * 1024 * 1024
-    kick_interval_s: float = 0.025
-    flush_ms: float = DEFAULT_FLUSH_MS
     verbose: bool = False
 
 
@@ -272,10 +274,9 @@ class ExplainService:
     thin parser around these methods, so tests can drive the service
     in-process and the wire layer stays trivial.
 
-    The service installs a flush deadline on engines that lack one and
-    runs a background *kicker* thread calling ``engine.kick()`` every
-    ``kick_interval_s`` — that sweep dispatches age-ready partial
-    batches and resolves deadline-expired requests, which is what makes
+    The service installs a flush deadline (``FLUSH_MS``) on engines
+    that lack one and runs a background *kicker* thread calling
+    ``engine.kick()`` every ``KICK_INTERVAL_S``, which is what makes
     async tickets complete without a client thread blocking on them.
     """
 
@@ -301,7 +302,7 @@ class ExplainService:
         # when some other request flushes the method.  Same-package
         # reach into the scheduler, applied once before any traffic.
         if engine.max_delay_ms is None:
-            engine._scheduler.max_delay_ms = self.config.flush_ms
+            engine._scheduler.max_delay_ms = FLUSH_MS
         self._stop = threading.Event()
         self._kicker = threading.Thread(target=self._kick_loop,
                                         name="serve-http-kicker",
@@ -310,7 +311,7 @@ class ExplainService:
 
     # -- lifecycle -----------------------------------------------------
     def _kick_loop(self) -> None:
-        while not self._stop.wait(self.config.kick_interval_s):
+        while not self._stop.wait(KICK_INTERVAL_S):
             try:
                 self.engine.kick()
             except Exception:              # noqa: BLE001 — engine closing
@@ -451,7 +452,8 @@ class ExplainService:
         image = decode_array(payload.get("image"))
         label = self._label(payload.get("label"), image)
         target = _int_field(payload.get("target"), "target")
-        encoding = payload.get("encoding", "b64")
+        # Checked before submitting: a bad encoding must not cost a map.
+        encoding = _encoding(payload.get("encoding", "b64"))
         mode = payload.get("mode", "sync")
         if mode not in ("sync", "async"):
             raise HttpError(400, f"unknown mode {mode!r}; "
@@ -495,7 +497,7 @@ class ExplainService:
                   in zip(_per_image(payload, "labels", images), images)]
         targets = [_int_field(value, "targets")
                    for value in _per_image(payload, "targets", images)]
-        encoding = payload.get("encoding", "b64")
+        encoding = _encoding(payload.get("encoding", "b64"))
         template = self._context(payload, tenant)
         try:
             handles = [
@@ -543,10 +545,9 @@ class ExplainService:
                                         handle.ctx, handle.cache_hit)
 
     def _purge_tickets_locked(self) -> None:
-        ttl = self.config.ticket_ttl_s
         now = time.monotonic()
         dead = [tid for tid, t in self._tickets.items()
-                if now - t.created > ttl]
+                if now - t.created > TICKET_TTL_S]
         for tid in dead:
             del self._tickets[tid]
 
@@ -623,10 +624,9 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             # rfile.read(-1) would block until the client hangs up.
             raise HttpError(400, "negative Content-Length")
-        if length > self.service.config.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise HttpError(413, f"body of {length} bytes exceeds the "
-                                 f"{self.service.config.max_body_bytes}"
-                                 " byte limit")
+                                 f"{MAX_BODY_BYTES} byte limit")
         raw = self.rfile.read(length)
         try:
             body = json.loads(raw)

@@ -53,20 +53,20 @@ __all__ = ["PlanCache"]
 
 PlanKey = Tuple[str, Tuple[int, ...], str]
 
+#: Live plans per cache; the least recently used is evicted past it.
+MAX_PLANS = 32
+
 
 class PlanCache:
     """Compile-once / replay-thereafter cache (see module docstring).
 
-    ``max_plans`` bounds live entries (LRU eviction); evicted plans free
+    ``MAX_PLANS`` bounds live entries (LRU eviction); evicted plans free
     their buffer arenas.  Call :meth:`close` when done to unregister the
     invalidation listeners (the engine does this from its own
     ``close()``).
     """
 
-    def __init__(self, max_plans: int = 32):
-        if max_plans < 1:
-            raise ValueError("max_plans must be >= 1")
-        self.max_plans = max_plans
+    def __init__(self):
         self._lock = threading.RLock()
         #: key -> (ExecutionPlan, frozen fingerprint at compile time)
         self._plans: "OrderedDict[PlanKey, Tuple[object, frozenset]]" = \
@@ -188,7 +188,7 @@ class PlanCache:
             self.compiled += 1
             self._plans[key] = (plan, fingerprint)
             self._plans.move_to_end(key)
-            while len(self._plans) > self.max_plans:
+            while len(self._plans) > MAX_PLANS:
                 self._plans.popitem(last=False)
                 self.evictions += 1
         return plan

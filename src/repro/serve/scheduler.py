@@ -23,11 +23,10 @@ The scheduler owns the pending-request state of the engine runtime:
 * **Priority flush ordering with starvation aging** — pop order across
   ready queues is by *effective rank*: the class rank
   (``interactive=0 < normal=1 < bulk=2``) minus ``queue_wait_ms /
-  aging_ms``.  A bulk queue that has waited ``2 * aging_ms`` therefore
+  AGING_MS``.  A bulk queue that has waited ``2 * AGING_MS`` therefore
   outranks a fresh interactive queue — a saturating interactive flood
-  can delay bulk work by at most ~``rank_gap * aging_ms`` of extra
-  wait, never starve it.  With ``priority=False`` pops keep the legacy
-  insertion order (the sort key is constant and the sort is stable).
+  can delay bulk work by at most ~``rank_gap * AGING_MS`` of extra
+  wait, never starve it.
 * **Deadline expiry** — every pop scans the queues it touches and
   prunes requests whose absolute deadline already passed, returning
   them to the engine *separately* from the batches; they never reach an
@@ -62,6 +61,10 @@ QueueKey = Tuple[str, Tuple[int, ...], str]
 #: Class-free queue family: dedup maps and adaptive-batching state key
 #: on (method, shape) so priority classes share both.
 BaseKey = Tuple[str, Tuple[int, ...]]
+
+#: The starvation bound: queue wait (ms) that promotes a queue by one
+#: priority class in the pop order.
+AGING_MS = 1000.0
 
 
 def base_key(queue_key) -> BaseKey:
@@ -104,12 +107,10 @@ class MicroBatchScheduler:
     oldest queued request of a queue may wait before :meth:`enqueue`
     reports the queue ready (``None`` disables the deadline).
 
-    **Priority ordering** — ``priority=True`` (default) makes
-    :meth:`pop_ready`/:meth:`pop_batches` visit queues in effective-rank
-    order: class rank minus ``wait_ms / aging_ms`` of the queue's oldest
-    request.  ``aging_ms`` is the starvation bound knob — the extra wait
-    a lower class can be dealt per rank step; ``priority=False``
-    restores the legacy insertion-order pops bit-for-bit.
+    **Priority ordering** — :meth:`pop_ready`/:meth:`pop_batches` visit
+    queues in effective-rank order: class rank minus ``wait_ms /
+    AGING_MS`` of the queue's oldest request, so ``AGING_MS`` is the
+    extra wait a lower class can be dealt per rank step.
 
     **Adaptive micro-batching** — with ``min_batch`` set, the flush
     threshold is no longer one global knob: each ``(method, shape)``
@@ -128,9 +129,7 @@ class MicroBatchScheduler:
     def __init__(self, max_batch: int = 16,
                  max_delay_ms: Optional[float] = None,
                  min_batch: Optional[int] = None,
-                 target_batch_ms: float = 200.0,
-                 priority: bool = True,
-                 aging_ms: float = 1000.0):
+                 target_batch_ms: float = 200.0):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if min_batch is not None and not 1 <= min_batch <= max_batch:
@@ -138,15 +137,11 @@ class MicroBatchScheduler:
                              "1 <= min_batch <= max_batch")
         if target_batch_ms <= 0:
             raise ValueError("target_batch_ms must be > 0")
-        if aging_ms <= 0:
-            raise ValueError("aging_ms must be > 0")
         self.max_batch = max_batch
         self.max_delay_ms = max_delay_ms
         self.min_batch = min_batch
         self.target_batch_ms = target_batch_ms
         self.adaptive = min_batch is not None
-        self.priority = priority
-        self.aging_ms = aging_ms
         self._queues: Dict[QueueKey, List[ExplainRequest]] = {}
         self._by_key: Dict[BaseKey, Dict[CacheKey, ExplainRequest]] = {}
         #: key -> request for batches popped but not yet completed, so
@@ -339,11 +334,7 @@ class MicroBatchScheduler:
     def _pop_order(self, keys: List[QueueKey],
                    now: float) -> List[QueueKey]:
         """Visit order for a pop pass: effective rank (class rank minus
-        ``wait/aging``), oldest first within a rank.  With priority off
-        the key is constant and the stable sort preserves the legacy
-        insertion order."""
-        if not self.priority:
-            return keys
+        ``wait / AGING_MS``), oldest first within a rank."""
 
         def effective(queue_key: QueueKey):
             queue = self._queues.get(queue_key)
@@ -351,7 +342,7 @@ class MicroBatchScheduler:
                 return (float("inf"), float("inf"))
             oldest = queue[0].enqueued_at
             rank = float(PRIORITY_RANK.get(queue_key[2], 1))
-            rank -= (now - oldest) * 1000.0 / self.aging_ms
+            rank -= (now - oldest) * 1000.0 / AGING_MS
             return (rank, oldest)
 
         return sorted(keys, key=effective)

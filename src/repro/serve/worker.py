@@ -17,10 +17,10 @@ Three pieces live here, all deliberately free of any engine state:
   boundary as a live reference — the parent reconstructs fresh ones,
   so cache freezing and digest stamping keep working unchanged.
 * :func:`worker_main` — the worker loop: handshake (``ready`` /
-  ``init_error``), then batch / ``stats`` / ``stop`` messages until
-  the parent hangs up.  Each batch is timed *inside the worker* (pure
-  compute, no pipe or convoy time), and the measured per-map cost rides
-  back for the engine's cost-aware cache and adaptive batch limits.
+  ``init_error``), then batch / ``stop`` messages until the parent
+  hangs up.  Each batch is timed *inside the worker* (pure compute, no
+  pipe or convoy time), and the measured per-map cost rides back for
+  the engine's cost-aware cache and adaptive batch limits.
   Methods whose replica sets ``needs_gradients = False`` run under
   ``nn.no_grad()`` in the worker, exactly as the in-process engine
   would run them.
@@ -28,21 +28,28 @@ Three pieces live here, all deliberately free of any engine state:
 The protocol (payloads live in the shared-memory arenas of
 :mod:`repro.serve.transport`; the pipe carries headers)::
 
+    worker -> ("ready", pid, counters)
     parent -> ("shm_batch", slot, method, out_desc, ret_desc,
                labels, targets)
-    worker -> ("ok_shm", slot, stamps, batch_ms, ret_shape,
+    worker -> ("ok_shm", slot, stamps, counters, batch_ms, ret_shape,
                labels, targets, metas)
-            | ("ok_pipe", slot, stamps, batch_ms, payload, ret_need)
-            | ("error", slot, stamps, method, exc_type, message, tb)
+            | ("ok_pipe", slot, stamps, counters, batch_ms, payload,
+               ret_need)
+            | ("error", slot, stamps, counters, method, exc_type,
+               message, tb)
             | ("shm_stale", slot)
     parent -> ("pipe_batch", slot, method, images, labels, targets)
+            | ("stop",)
 
 ``stamps`` is ``(pid, recv_at, done_at)`` on the system-wide monotonic
-clock.  A header whose out segment cannot be attached (external
-``/dev/shm`` cleanup) is answered ``shm_stale`` and the parent resends
-that one batch inline as ``pipe_batch``; its reply, and a reply stack
-that outgrows the return segment, come back as ``ok_pipe`` — the
-latter with the byte count the parent turns into a growth hint.
+clock.  ``counters`` is the worker's cumulative ``{batches, maps,
+plans}`` (``plans``: its ``PlanCache`` stats), so the parent always
+holds the latest ones without asking.  A header whose out segment
+cannot be attached (external ``/dev/shm`` cleanup) is answered
+``shm_stale`` and the parent resends that one batch inline as
+``pipe_batch``; its reply, and a reply stack that outgrows the return
+segment, come back as ``ok_pipe`` — the latter with the byte count the
+parent turns into a growth hint.
 
 :func:`demo_spec` builds a small untrained-classifier spec used by the
 serving benchmark, the process-executor tests, and the docs; its
@@ -172,16 +179,16 @@ def decode_shm_results(view: np.ndarray, labels: List, targets: List,
 # ----------------------------------------------------------------------
 def worker_main(conn, spec: EngineSpec) -> None:
     """Worker-process entry point: materialize the spec once, then
-    serve ``shm_batch`` / ``pipe_batch`` / ``stats`` / ``stop``
-    messages (see the module docstring) until the parent hangs up.
-    Runs single-threaded in its own interpreter, so there is no GIL to
-    share with the parent or with sibling workers.
+    serve ``shm_batch`` / ``pipe_batch`` / ``stop`` messages (see the
+    module docstring) until the parent hangs up.  Runs single-threaded
+    in its own interpreter, so there is no GIL to share with the parent
+    or with sibling workers.
 
     Each worker holds its own :class:`~repro.serve.plans.PlanCache`:
     plans compile **per replica** (buffer arenas cannot cross process
     boundaries), so after each worker's first batch of a
-    (method, shape) key its hot path replays tape-free.  The ``stats``
-    reply carries the replica's plan counters.
+    (method, shape) key its hot path replays tape-free.  Every reply
+    but ``shm_stale`` carries the replica's counters.
     """
     from .plans import PlanCache
     from .transport import ArenaClient
@@ -195,10 +202,15 @@ def worker_main(conn, spec: EngineSpec) -> None:
             conn.close()
         return
     pid = os.getpid()
-    conn.send(("ready", pid))
     plan_cache = PlanCache()
     arena = ArenaClient()
     batches = maps = 0
+
+    def counters() -> dict:
+        return {"batches": batches, "maps": maps,
+                "plans": plan_cache.stats()}
+
+    conn.send(("ready", pid, counters()))
     try:
         while True:
             try:
@@ -212,11 +224,6 @@ def worker_main(conn, spec: EngineSpec) -> None:
             kind = message[0]
             if kind == "stop":
                 break
-            if kind == "stats":
-                conn.send(("stats", {"pid": pid, "batches": batches,
-                                     "maps": maps,
-                                     "plans": plan_cache.stats()}))
-                continue
             if kind == "shm_batch":
                 _, slot, method, out_desc, ret_desc, labels, targets = \
                     message
@@ -237,8 +244,8 @@ def worker_main(conn, spec: EngineSpec) -> None:
                 batch_ms = (time.perf_counter() - start) * 1000.0
             except BaseException as exc:   # noqa: BLE001 — ship it back
                 conn.send(("error", slot, (pid, recv_at, time.monotonic()),
-                           method, type(exc).__name__, str(exc),
-                           traceback.format_exc()))
+                           counters(), method, type(exc).__name__,
+                           str(exc), traceback.format_exc()))
                 continue
             finally:
                 del images                 # release the arena view
@@ -258,11 +265,11 @@ def worker_main(conn, spec: EngineSpec) -> None:
                 uniform = all(m.shape == first for m in maps_out)
                 need = (len(maps_out) * int(np.prod(first, dtype=np.int64))
                         * 4 if ret_desc is not None and uniform else 0)
-                conn.send(("ok_pipe", slot, stamps, batch_ms,
+                conn.send(("ok_pipe", slot, stamps, counters(), batch_ms,
                            encode_results(results), need))
                 continue
-            conn.send(("ok_shm", slot, stamps, batch_ms, ret_shape,
-                       [int(r.label) for r in results],
+            conn.send(("ok_shm", slot, stamps, counters(), batch_ms,
+                       ret_shape, [int(r.label) for r in results],
                        [r.target_label for r in results],
                        [r.meta for r in results]))
     finally:

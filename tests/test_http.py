@@ -4,6 +4,7 @@ mapping (400/401/404/429/503/504), ticket lifecycle, graceful drain,
 and the ``tools/serve_daemon.py`` SIGTERM contract."""
 
 import base64
+import importlib.util
 import json
 import os
 import signal
@@ -118,6 +119,23 @@ class TestTenantQuota:
             self._engine(tenant_quota=0)
         with pytest.raises(ValueError):
             self._engine(tenant_quotas={"t": -1})
+
+    def test_api_key_quota_below_one_rejected(self):
+        # The service writes key quotas straight into the engine, past
+        # the engine's own check, so the key itself must refuse them.
+        for quota in (0, -2):
+            with pytest.raises(ValueError):
+                ApiKey("t", quota)
+        assert ApiKey("t", 1).quota == 1 and ApiKey("t").quota is None
+
+    def test_daemon_flag_quota_below_one_exits(self):
+        spec = importlib.util.spec_from_file_location(
+            "serve_daemon", TestServeDaemon.SCRIPT)
+        daemon_cli = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(daemon_cli)
+        with pytest.raises(SystemExit, match="bad --api-key"):
+            daemon_cli.parse_api_key("k=t:0")
+        assert daemon_cli.parse_api_key("k=t:3") == ("k", ApiKey("t", 3))
 
     def test_stats_expose_unresolved_held(self):
         engine = self._engine(tenant_quota=4)
@@ -357,6 +375,32 @@ class TestHttpErrorPaths:
         for payload in cases:
             status, _, _ = client("POST", "/v1/explain", payload)
             assert status == 400, payload
+
+    def test_unknown_encoding_400_before_any_compute(self, stack):
+        daemon, client = stack
+        rng = np.random.default_rng(11)
+        img = encode_array(_noise(rng, 8))
+        before = daemon.engine.stats()["batches_run"]
+        status, body, _ = client("POST", "/v1/explain",
+                                 {"method": "gradcam", "image": img,
+                                  "label": 0, "encoding": "hex"})
+        assert status == 400 and "hex" in body["error"]
+        status, _, _ = client("POST", "/v1/batch",
+                              {"method": "gradcam", "images": [img],
+                               "labels": [0], "encoding": "hex"})
+        assert status == 400
+        assert daemon.engine.stats()["batches_run"] == before
+
+    def test_unknown_encoding_async_gets_no_ticket(self, stack):
+        daemon, client = stack
+        rng = np.random.default_rng(12)
+        status, body, _ = client("POST", "/v1/explain",
+                                 {"method": "gradcam", "mode": "async",
+                                  "image": encode_array(_noise(rng, 8)),
+                                  "label": 0, "encoding": "hex"})
+        assert status == 400 and "ticket" not in body
+        _, stats, _ = client("GET", "/v1/stats")
+        assert stats["service"]["tickets_outstanding"] == 0
 
     def test_non_integer_target_400(self, stack):
         daemon, client = stack

@@ -250,10 +250,12 @@ class TestPlanCache:
             nn.set_default_dtype(np.float32)
         assert cache.stats()["invalidations"] == 0
 
-    def test_lru_bound_evicts(self):
+    def test_lru_bound_evicts(self, monkeypatch):
+        from repro.serve import plans
+        monkeypatch.setattr(plans, "MAX_PLANS", 1)
         rng = np.random.default_rng(2)
         explainer = _TinyPlanExplainer(nn.Linear(16, 4, rng=rng))
-        cache = PlanCache(max_plans=1)
+        cache = PlanCache()
         try:
             labels = np.array([0, 1], dtype=np.int64)
             a = rng.standard_normal((2, 16)).astype(np.float32)
@@ -285,19 +287,5 @@ class TestEnginePlanIntegration:
             assert plans["compiled"] == 1
             assert plans["replay_hits"] == 2
             assert plans["arena_bytes"] > 0
-        finally:
-            engine.close()
-
-    def test_engine_plans_off(self, tiny_classifier, tiny_train_set):
-        from repro.explain import GradCAMExplainer
-        from repro.serve import ExplainEngine
-
-        engine = ExplainEngine(tiny_classifier,
-                               {"gradcam": GradCAMExplainer(tiny_classifier)},
-                               max_batch=2, plans=False)
-        try:
-            engine.explain_batch(tiny_train_set.images[:2],
-                                 tiny_train_set.labels[:2], "gradcam")
-            assert engine.stats()["plans"] is None
         finally:
             engine.close()

@@ -4,6 +4,7 @@ lifecycle (worker death, clean shutdown, handle conservation)."""
 
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -190,6 +191,38 @@ class TestProcessExecutor:
         stats = engine.stats()
         assert stats["pending_handles"] == 0
         assert stats["requests_served"] == 3
+
+    def test_worker_counters_ride_replies_while_a_batch_runs(self):
+        # Every reply carries the worker's counters, so stats() reads
+        # the workers' plan caches mid-flight instead of the parent's
+        # unused one, and worker_stats() never waits for an idle pool.
+        spec = demo_spec(("gradcam", "slow"), slow_ms=400.0)
+        classifier, explainers = spec.materialize()
+        executor = ProcessExecutor(spec, workers=1)
+        (fresh,) = executor.worker_stats()       # from the handshake
+        assert (fresh["batches"], fresh["maps"]) == (0, 0)
+        assert fresh["plans"]["compiled"] == 0
+        with ExplainEngine(classifier, explainers, max_batch=1,
+                           executor=executor) as engine:
+            images = _images(3)
+            engine.explain_batch(images[:2], np.zeros(2, np.int64),
+                                 "gradcam")
+            handle = engine.submit_async(images[2], 0, "slow")
+            for _ in range(5000):
+                if executor._all[0].inflight:
+                    break
+                time.sleep(0.001)
+            start = time.perf_counter()
+            (worker,) = executor.worker_stats()
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            plans = engine.stats()["plans"]
+            assert elapsed_ms < 100.0
+            assert worker["maps"] == 2            # the slow map is out
+            assert plans["compiled"] >= 1
+            assert not handle.done                # probed mid-batch
+            handle.result()
+            (worker,) = executor.worker_stats()
+            assert (worker["batches"], worker["maps"]) == (3, 3)
 
     def test_remote_failure_propagates_with_cause_through_drain(self):
         spec = demo_spec(("boom", "occlusion"))

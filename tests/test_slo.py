@@ -19,6 +19,7 @@ from repro.serve import (DeadlineExceeded, EngineOverloaded, ExplainEngine,
                          MicroBatchScheduler, ProcessExecutor, RequestContext,
                          SaliencyCache, SaliencyStore, ShardedSaliencyCache,
                          ThreadedExecutor, demo_spec)
+from repro.serve.scheduler import AGING_MS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -109,24 +110,16 @@ class TestFlushOrdering:
                                                 "bulk"]
 
     def test_aged_bulk_outranks_fresh_interactive(self):
-        # A bulk queue that has waited >> rank_gap * aging_ms must pop
+        # A bulk queue that has waited >> rank_gap * AGING_MS must pop
         # before a fresh interactive queue: floods delay bulk, never
         # starve it.
-        sched = MicroBatchScheduler(max_batch=8, aging_ms=10.0)
+        sched = MicroBatchScheduler(max_batch=8)
         req, _, _ = sched.enqueue("m", _img(0), 0, None, _key(0),
                                   object(),
                                   ctx=RequestContext(priority="bulk"))
-        req.enqueued_at -= 0.100           # 10 rank-steps of aging
+        req.enqueued_at -= 10 * AGING_MS / 1000.0   # 10 rank-steps
         sched.enqueue("m", _img(1), 0, None, _key(1), object(),
                       ctx=RequestContext(priority="interactive"))
-        batches, _ = sched.pop_batches()
-        assert [qk[2] for qk, _ in batches] == ["bulk", "interactive"]
-
-    def test_priority_off_keeps_insertion_order(self):
-        sched = MicroBatchScheduler(max_batch=8, priority=False)
-        for i, cls in enumerate(["bulk", "interactive"]):
-            sched.enqueue("m", _img(i), 0, None, _key(i), object(),
-                          ctx=RequestContext(priority=cls))
         batches, _ = sched.pop_batches()
         assert [qk[2] for qk, _ in batches] == ["bulk", "interactive"]
 
@@ -297,7 +290,6 @@ class TestStats:
                                 ctx=RequestContext(tenant="acme"))
             stats = engine.stats()
             assert stats["queues"]["stub@1x4x4#normal"]["depth"] == 1
-            assert stats["priority"] is True
             engine.drain()
             stats = engine.stats()
             assert stats["tenants"]["acme"]["served"] == 1

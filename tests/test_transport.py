@@ -336,8 +336,9 @@ class TestWorkerFallbacks:
             target=worker_main, args=(child, demo_spec(("echo", "boom"))),
             daemon=True)
         thread.start()
-        kind, _pid = parent.recv()
+        kind, _pid, counters = parent.recv()
         assert kind == "ready"
+        assert (counters["batches"], counters["maps"]) == (0, 0)
         yield parent
         try:
             parent.send(("stop",))
@@ -354,10 +355,14 @@ class TestWorkerFallbacks:
                      ("rtx-no-such-ret-g1", 4096), labels, None))
         assert worker.recv() == ("shm_stale", 1)
         worker.send(("pipe_batch", 1, "echo", images, labels, None))
-        kind, slot, (pid, recv_at, done_at), batch_ms, payload, need = \
-            worker.recv()
+        (kind, slot, (pid, recv_at, done_at), counters, batch_ms, payload,
+         need) = worker.recv()
         assert (kind, slot, need) == ("ok_pipe", 1, 0)
         assert pid == os.getpid() and recv_at <= done_at
+        # Cumulative counters ride the reply: the stale header ran
+        # nothing, the resend one batch of two maps.
+        assert (counters["batches"], counters["maps"]) == (1, 2)
+        assert counters["plans"]["compiled"] == 0     # echo: tape only
         assert batch_ms >= 0.0
         results = decode_results(payload)
         np.testing.assert_allclose(results[1].saliency,
@@ -375,8 +380,8 @@ class TestWorkerFallbacks:
             # the byte count the parent turns into a growth hint.
             worker.send(("shm_batch", 0, "echo", out_desc,
                          (ret_desc[0], 8), labels, None))
-            kind, slot_index, stamps, _batch_ms, payload, need = \
-                worker.recv()
+            kind, slot_index, stamps, _counters, _batch_ms, payload, \
+                need = worker.recv()
             assert (kind, slot_index) == ("ok_pipe", 0)
             assert len(stamps) == 3
             assert need == 2 * 8 * 8 * 4
@@ -391,10 +396,11 @@ class TestWorkerFallbacks:
         images = _images(1, side=8)
         worker.send(("pipe_batch", 1, "boom", images,
                      np.zeros(1, dtype=np.int64), None))
-        kind, slot, stamps, method, exc_type, message, remote_tb = \
-            worker.recv()
+        kind, slot, stamps, counters, method, exc_type, message, \
+            remote_tb = worker.recv()
         assert (kind, slot, method, exc_type) == ("error", 1, "boom",
                                                   "RuntimeError")
         assert len(stamps) == 3
+        assert counters["batches"] == 0    # a failed batch is not counted
         assert "injected worker failure" in message
         assert "injected worker failure" in remote_tb

@@ -65,7 +65,8 @@ def parse_api_key(entry: str) -> tuple:
         return key, info
     except ValueError:
         raise SystemExit(
-            f"bad --api-key {entry!r}: expected KEY=TENANT[:QUOTA]")
+            f"bad --api-key {entry!r}: expected KEY=TENANT[:QUOTA], "
+            "QUOTA >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
