@@ -1,10 +1,12 @@
 """Saliency result caching: digest keys, LRU shards, sharded front.
 
-The cache key is ``(image_digest, method, label, target)``.  The digest
-is computed **once per request** at submit time and threaded through the
-whole runtime (queued request, cache insert, and the resulting
-:class:`~repro.explain.base.SaliencyResult.image_digest` field) — the
-image bytes are never re-hashed.
+The cache key is ``(image_digest, method, label or None, target)``.  The
+digest is computed **once per request** at submit time and threaded
+through the whole runtime (queued request, cache insert, and the
+resulting :class:`~repro.explain.base.SaliencyResult.image_digest`
+field) — the image bytes are never re-hashed.  A ``None`` label is the
+classifier's own call: a hit never runs the classifier, and it never
+shares an entry with a supplied label, even one equal to that call.
 
 :class:`SaliencyCache` is one thread-safe bounded shard.
 :class:`ShardedSaliencyCache` fronts N independent shards keyed on a
@@ -40,7 +42,8 @@ import numpy as np
 
 from ..explain.base import SaliencyResult
 
-CacheKey = Tuple[str, str, int, Optional[int]]
+#: ``(image_digest, method, label or None, target)``.
+CacheKey = Tuple[str, str, Optional[int], Optional[int]]
 
 
 def image_digest(image: np.ndarray) -> str:
@@ -53,18 +56,19 @@ def image_digest(image: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def request_key(image: np.ndarray, method: str, label: int,
+def request_key(image: np.ndarray, method: str, label: Optional[int],
                 target_label: Optional[int],
                 digest: Optional[str] = None) -> CacheKey:
-    """Cache key for one explain request.
+    """Cache key for one explain request (``None`` label kept).
 
     Pass ``digest`` when the image was already hashed (the engine hashes
     each submitted image exactly once and threads the digest through).
     """
     if digest is None:
         digest = image_digest(image)
+    label = None if label is None else int(label)
     target = None if target_label is None else int(target_label)
-    return (digest, method, int(label), target)
+    return (digest, method, label, target)
 
 
 EVICTION_POLICIES = ("lru", "cost")

@@ -24,6 +24,9 @@ batch executor — behind the serving API the rest of the repo consumes:
 * Each image is digested **once** per request; the digest rides the
   request through the queue, keys the cache insert, and lands on the
   result's ``image_digest`` field.
+* ``label=None`` asks for the classifier's own call.  It is keyed as
+  ``None`` in both cache tiers and dedup, so a hit never runs the
+  classifier; misses get one batched ``predict`` per micro-batch.
 * Each batch's measured wall time feeds back twice: as the per-map
   compute cost on the cache insert (the ``eviction="cost"`` policy
   keeps expensive maps under pressure) and into the scheduler's
@@ -202,7 +205,9 @@ class ExplainEngine:
     Parameters
     ----------
     classifier:
-        The trained black-box model the explainers interrogate.
+        The trained black-box model the explainers interrogate.  Its
+        ``num_classes`` bounds labels and targets; ``predict`` resolves
+        ``label=None``.
     explainers:
         ``name -> Explainer`` mapping (an
         :class:`~repro.explain.ExplainerSuite`'s ``explainers`` dict).
@@ -533,10 +538,18 @@ class ExplainEngine:
     def _run_batch(self, queue_key: QueueKey,
                    requests: List[ExplainRequest]) -> int:
         """Execute one micro-batch; returns the number of handles
-        resolved (>= ``len(requests)`` when dedup fanned out)."""
+        resolved (>= ``len(requests)`` when dedup fanned out).
+        ``label=None`` requests share one ``classifier.predict`` before
+        the timed section, so ``batch_ms`` and the GDSF cost stay
+        explainer time; the call reaches ``result.label``, not the key."""
         method = queue_key[0]
         explainer = self._explainer(method)
-        labels = np.array([r.label for r in requests], dtype=np.int64)
+        labels = np.array([-1 if r.label is None else r.label
+                           for r in requests], dtype=np.int64)
+        omitted = [i for i, r in enumerate(requests) if r.label is None]
+        if omitted:
+            labels[omitted] = self.classifier.predict(
+                np.stack([requests[i].image for i in omitted]))
         if any(r.target_label is not None for r in requests):
             targets = np.array(
                 [-1 if r.target_label is None else int(r.target_label)
@@ -1019,12 +1032,19 @@ class ExplainEngine:
                                           - start) * 1000.0
 
     # ------------------------------------------------------------------
-    def _submit(self, image: np.ndarray, label: int, method: str,
+    def _submit(self, image: np.ndarray, label: Optional[int], method: str,
                 target_label: Optional[int],
                 dispatch_async: bool, ctx=None) -> PendingExplain:
         ctx = RequestContext.ensure(ctx)
         ctx.stamp("admitted")
         self._explainer(method)
+        # A failed batch is requeued, so refuse what no batch can run.
+        if label is None and self.classifier is None:
+            raise ValueError("label=None needs the engine's classifier")
+        n = getattr(self.classifier, "num_classes", None)
+        for name, value in (("label", label), ("target", target_label)):
+            if n is not None and value is not None and not 0 <= value < n:
+                raise ValueError(f"{name} {value} is outside [0, {n})")
         image = np.asarray(image)
         # Digest once per request: the same digest keys the cache probe,
         # rides the queued request, keys the insert, and is stamped on
@@ -1135,8 +1155,7 @@ class ExplainEngine:
                     self._count_tenant(ctx.tenant, "deadline_expired")
                     return handle
             request, _deduped, ready = self._scheduler.enqueue(
-                method, image, int(label), target_label, key, handle,
-                ctx)
+                method, image, label, target_label, key, handle, ctx)
             ctx.stamp("enqueued")
             if not _deduped and dispatch_async:
                 # Only async ingestion occupies the admission budget:
@@ -1176,7 +1195,7 @@ class ExplainEngine:
                     raise
         return handle
 
-    def submit(self, image: np.ndarray, label: int, method: str,
+    def submit(self, image: np.ndarray, label: Optional[int], method: str,
                target_label: Optional[int] = None,
                ctx=None) -> PendingExplain:
         """Queue one request; returns a handle resolving at flush time.
@@ -1186,6 +1205,10 @@ class ExplainEngine:
         owning queue auto-flushes **synchronously** when ``max_batch``
         unique requests are pending or the deadline passed.
 
+        ``label=None`` explains the classifier's own call, cached as
+        such.  A label or target outside ``[0, num_classes)``, or
+        ``label=None`` without a classifier, raises ``ValueError``.
+
         ``ctx`` is the request's SLO envelope: a
         :class:`RequestContext`, a bare priority-class string, or
         ``None`` for the legacy default (``normal``, no deadline, no
@@ -1194,12 +1217,13 @@ class ExplainEngine:
         return self._submit(image, label, method, target_label,
                             dispatch_async=False, ctx=ctx)
 
-    def submit_async(self, image: np.ndarray, label: int, method: str,
-                     target_label: Optional[int] = None,
+    def submit_async(self, image: np.ndarray, label: Optional[int],
+                     method: str, target_label: Optional[int] = None,
                      ctx=None) -> PendingExplain:
         """Non-blocking submit: a full queue is handed to the executor
         without waiting for it to run.  Resolve via ``handle.result()``
         (waits on the in-flight batch) or a final :meth:`drain`.
+        ``label`` and ``label=None`` behave as in :meth:`submit`.
 
         On a ``max_pending`` engine this path is admission-controlled:
         a submit that would add unique work beyond the bound blocks
@@ -1244,16 +1268,17 @@ class ExplainEngine:
             self._launch(future, queue_key, requests)
         return len(prepared)
 
-    def explain(self, image: np.ndarray, label: int, method: str,
+    def explain(self, image: np.ndarray, label: Optional[int], method: str,
                 target_label: Optional[int] = None,
                 ctx=None) -> SaliencyResult:
         """Synchronous single-request path (submit + resolve).
 
         Returns the :class:`~repro.explain.base.SaliencyResult` for
         ``image``/``label`` under ``method`` (optionally contrasted
-        against ``target_label``); equivalent to
-        ``submit(...).result()``, so it batches with whatever else is
-        queued.  Raises ``KeyError`` for an unknown method,
+        against ``target_label``; ``None`` is the model's own call);
+        equivalent to ``submit(...).result()``, so it batches with
+        whatever else is queued.  Raises ``ValueError`` as
+        :meth:`submit` does, ``KeyError`` for an unknown method,
         :class:`TenantOverQuota` when ``ctx.tenant`` is over its
         slice, :class:`DeadlineExceeded` when ``ctx``'s deadline
         passes before compute, and whatever a failing

@@ -14,7 +14,10 @@ Endpoints
     ``deadline_ms``).  Default is the **inline** mode: the response
     carries the saliency map (the handler thread waits on the engine —
     concurrent requests still batch).  ``"mode": "async"`` instead
-    returns ``202`` with a ticket id to poll.
+    returns ``202`` with a ticket id to poll.  An omitted or ``null``
+    ``label`` explains the classifier's own call: the engine caches it
+    as such and resolves it inside the micro-batch that computes it, so
+    the handler never runs the classifier.
 ``GET /v1/tickets/<id>``
     Poll an async submit: ``202`` while pending, ``200`` with the
     result exactly once (the ticket is retired on delivery), ``404``
@@ -47,6 +50,7 @@ Error mapping
 engine outcome                               status
 ===========================================  =====
 malformed JSON / bad image / bad field       400
+label/target not an integer in range         400
 missing or unknown API key                   401
 unknown explain method, unknown route        404
 request body over ``MAX_BODY_BYTES``         413
@@ -154,12 +158,15 @@ def _encoding(encoding) -> str:
 
 def decode_array(obj, dtype=np.float32) -> np.ndarray:
     """Decode a request image: either the :func:`encode_array` dict
-    form (``b64`` or ``data``) or bare nested lists.  Raises
-    :class:`HttpError` 400 on anything malformed."""
+    form (``b64`` or ``data``, with a bool, integer or float ``dtype``)
+    or bare nested lists.  Raises :class:`HttpError` 400 on anything
+    malformed."""
     try:
         if isinstance(obj, dict):
             shape = tuple(int(d) for d in obj["shape"])
             want = np.dtype(obj.get("dtype", "float32"))
+            if want.kind not in "biuf":
+                raise ValueError(f"dtype {want} is not numeric")
             if "b64" in obj:
                 raw = base64.b64decode(obj["b64"], validate=True)
                 array = np.frombuffer(raw, dtype=want.newbyteorder("<"))
@@ -171,12 +178,10 @@ def decode_array(obj, dtype=np.float32) -> np.ndarray:
                         f"data has shape {array.shape}, header says "
                         f"{shape}")
         else:
-            array = np.asarray(obj, dtype=dtype)
-    except HttpError:
-        raise
+            array = obj
+        array = np.asarray(array, dtype=dtype)
     except Exception as exc:               # noqa: BLE001 — wire input
         raise HttpError(400, f"cannot decode image: {exc}")
-    array = np.asarray(array, dtype=dtype)
     if array.ndim != 3:
         raise HttpError(400, "image must be (channels, height, width); "
                              f"got shape {tuple(array.shape)}")
@@ -234,15 +239,20 @@ class _Ticket:
     created: float = field(default_factory=time.monotonic)
 
 
-def _int_field(value, key: str) -> Optional[int]:
-    """A wire integer: ``None`` stays ``None``, anything ``int()``
-    rejects is a ``400`` naming the field."""
+def _class_field(value, key: str, num_classes: Optional[int]
+                 ) -> Optional[int]:
+    """A wire class index: ``None`` stays ``None``; anything but a JSON
+    integer (not a bool) in ``[0, num_classes)`` is a ``400`` naming
+    the field.  ``num_classes=None`` (no classifier) checks the type
+    only."""
     if value is None:
         return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise HttpError(400, f"{key!r} must be an integer")
+    if (type(value) is not int or value < 0
+            or (num_classes is not None and value >= num_classes)):
+        bound = "" if num_classes is None else f" in [0, {num_classes})"
+        raise HttpError(400, f"{key!r} must be an integer{bound}; "
+                             f"got {value!r}")
+    return value
 
 
 def _per_image(payload: dict, key: str, images: list) -> list:
@@ -278,12 +288,17 @@ class ExplainService:
     that lack one and runs a background *kicker* thread calling
     ``engine.kick()`` every ``KICK_INTERVAL_S``, which is what makes
     async tickets complete without a client thread blocking on them.
+
+    Labels and targets are checked against ``num_classes`` while the
+    body is parsed; the wire label, an int or ``None``, goes to the
+    engine as is, so the service never runs the classifier itself.
     """
 
     def __init__(self, engine: ExplainEngine,
                  config: Optional[ServiceConfig] = None):
         self.engine = engine
         self.config = config or ServiceConfig()
+        self.num_classes = getattr(engine.classifier, "num_classes", None)
         self.started_at = time.monotonic()
         self.draining = False
         self._lock = threading.Lock()
@@ -398,15 +413,6 @@ class ExplainService:
                      f"{sorted(self.engine.explainers)}")
         return method
 
-    def _label(self, value, image: np.ndarray, key: str = "label") -> int:
-        """The request's label, or the classifier's argmax when omitted
-        (``label`` is what the explainer explains — most clients want
-        "why did *you* call it that", i.e. the model's own call)."""
-        label = _int_field(value, key)
-        if label is None:
-            return int(self.engine.classifier.predict(image[None])[0])
-        return label
-
     def _encode_result(self, result, encoding: str, ctx: RequestContext,
                        cache_hit: bool) -> dict:
         return {
@@ -450,8 +456,10 @@ class ExplainService:
         self._count("explain")
         method = self._method(payload)
         image = decode_array(payload.get("image"))
-        label = self._label(payload.get("label"), image)
-        target = _int_field(payload.get("target"), "target")
+        label = _class_field(payload.get("label"), "label",
+                             self.num_classes)
+        target = _class_field(payload.get("target"), "target",
+                              self.num_classes)
         # Checked before submitting: a bad encoding must not cost a map.
         encoding = _encoding(payload.get("encoding", "b64"))
         mode = payload.get("mode", "sync")
@@ -493,9 +501,9 @@ class ExplainService:
         if not isinstance(raw_images, list) or not raw_images:
             raise HttpError(400, "'images' must be a non-empty list")
         images = [decode_array(obj) for obj in raw_images]
-        labels = [self._label(value, image, key="labels") for value, image
-                  in zip(_per_image(payload, "labels", images), images)]
-        targets = [_int_field(value, "targets")
+        labels = [_class_field(value, "labels", self.num_classes)
+                  for value in _per_image(payload, "labels", images)]
+        targets = [_class_field(value, "targets", self.num_classes)
                    for value in _per_image(payload, "targets", images)]
         encoding = _encoding(payload.get("encoding", "b64"))
         template = self._context(payload, tenant)

@@ -78,7 +78,7 @@ class ExplainRequest:
     """One unique queued computation, fanning out to >= 1 handles."""
 
     image: np.ndarray
-    label: int
+    label: Optional[int]            # None: resolved when the batch runs
     target_label: Optional[int]
     key: CacheKey
     queue_key: QueueKey
@@ -199,7 +199,7 @@ class MicroBatchScheduler:
                 or self._deadline_hit(queue))
 
     # ------------------------------------------------------------------
-    def enqueue(self, method: str, image: np.ndarray, label: int,
+    def enqueue(self, method: str, image: np.ndarray, label: Optional[int],
                 target_label: Optional[int], key: CacheKey,
                 handle, ctx: Optional[RequestContext] = None
                 ) -> Tuple[ExplainRequest, bool, bool]:
@@ -233,7 +233,7 @@ class MicroBatchScheduler:
                 self._queues.get(request.queue_key, []))
         queue_key: QueueKey = (method, tuple(image.shape), ctx.priority)
         queue = self._queues.setdefault(queue_key, [])
-        request = ExplainRequest(np.array(image, copy=True), int(label),
+        request = ExplainRequest(np.array(image, copy=True), label,
                                  target_label, key, queue_key,
                                  ctx=ctx, handles=[handle])
         queue.append(request)
@@ -451,9 +451,6 @@ class MicroBatchScheduler:
                        if method is None or key[0] == method
                        for r in bucket.values())
         return queued + inflight
-
-    def queue_keys(self) -> List[QueueKey]:
-        return [key for key, q in self._queues.items() if q]
 
     def queue_stats(self) -> Dict[str, Dict[str, float]]:
         """Operator-facing pressure snapshot: per-queue depth, attached

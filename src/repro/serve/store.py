@@ -8,9 +8,9 @@ avoid.  :class:`SaliencyStore` keeps the tier-1
 contract warm across process lifetimes:
 
 * **Content-addressed** — keyed on the same ``(image_digest, method,
-  label, target)`` :data:`~repro.serve.cache.CacheKey` the memory tier
-  uses, so an entry written by one run is a hit for any later run that
-  requests the same bytes.
+  label or None, target)`` :data:`~repro.serve.cache.CacheKey` the
+  memory tier uses, so an entry written by one run is a hit for any
+  later run that requests the same bytes.
 * **Append-only segments** — values are ``.npz``-framed records
   (float16-quantized saliency + meta arrays, JSON header carrying the
   key and GDSF cost) appended to fixed-size segment files
@@ -185,11 +185,17 @@ def _decode_record(view: memoryview, *, check_crc: bool = False
             meta[name[len("meta:"):]] = _materialize(arrays[name])
     result = SaliencyResult(saliency, int(header["label"]),
                             target_label=header.get("target"), meta=meta)
-    digest, method, label, target = header["key"]
-    key: CacheKey = (digest, method, int(label),
-                     None if target is None else int(target))
-    result.image_digest = digest
+    key = _parse_key(header["key"])
+    result.image_digest = key[0]
     return key, result, header.get("cost_ms"), total
+
+
+def _parse_key(raw) -> CacheKey:
+    """A :data:`CacheKey` from its JSON list form (record header or
+    journal line); a ``null`` label or target stays ``None``."""
+    digest, method, label, target = raw
+    return (digest, method, None if label is None else int(label),
+            None if target is None else int(target))
 
 
 def _materialize(array: np.ndarray) -> np.ndarray:
@@ -388,15 +394,11 @@ class SaliencyStore:
                         continue
                     op = json.loads(line)
                     if op["op"] == "put":
-                        digest, method, label, target = op["key"]
-                        key = (digest, method, int(label),
-                               None if target is None else int(target))
                         self._seq += 1.0
-                        index[key] = _Entry(int(op["seg"]), int(op["off"]),
-                                            int(op["len"]),
-                                            float(op.get("cost") or 0.0),
-                                            float(op.get("size") or 1.0),
-                                            self._seq)
+                        index[_parse_key(op["key"])] = _Entry(
+                            int(op["seg"]), int(op["off"]), int(op["len"]),
+                            float(op.get("cost") or 0.0),
+                            float(op.get("size") or 1.0), self._seq)
                     elif op["op"] == "drop":
                         seg = int(op["seg"])
                         for k in [k for k, e in index.items()
@@ -612,18 +614,6 @@ class SaliencyStore:
                     if remaining <= 0:
                         raise TimeoutError("store flush timed out")
                 self._wake.wait(timeout=remaining if remaining else 0.05)
-
-    def queue_depth_now(self) -> int:
-        """Entries currently waiting in the write-behind queue (0 on a
-        synchronous store); ``flush()`` drives it to zero."""
-        with self._lock:
-            return len(self._pending)
-
-    def total_bytes(self) -> int:
-        """On-disk payload bytes across all segment files — the number
-        compaction holds under ``capacity_bytes``."""
-        with self._lock:
-            return sum(self._segments.values())
 
     def stats(self) -> Dict[str, object]:
         """Store counters: hits/``pending_hits``/misses, inserts and

@@ -79,6 +79,21 @@ class FlakyExplainer(StubExplainer):
         return super().explain_batch(images, labels, target_labels)
 
 
+class CountingClassifier:
+    """Hand this to an engine in place of ``inner`` (its explainers keep
+    the real model): ``rows`` records the row count of every
+    ``predict`` the engine makes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.num_classes = inner.num_classes
+        self.rows = []
+
+    def predict(self, images):
+        self.rows.append(len(images))
+        return self.inner.predict(images)
+
+
 def force_pipe_replies(monkeypatch) -> None:
     """Make every process-pool batch for the rest of the test reply
     through the pipe leg (``ok_pipe``): the parent advertises an 8-byte

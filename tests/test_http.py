@@ -17,7 +17,7 @@ import urllib.request
 
 import numpy as np
 import pytest
-from conftest import GatedExplainer, StubExplainer
+from conftest import CountingClassifier, GatedExplainer, StubExplainer
 
 from repro.serve import (ExplainEngine, RequestContext, TenantOverQuota,
                          ThreadedExecutor, demo_spec)
@@ -166,15 +166,29 @@ class TestCodec:
 
     def test_malformed_rejects_400(self):
         from repro.serve.http import HttpError
+        strings = np.full((1, 2, 2), "a")
+        complex_ = np.full((1, 2, 2), 1 + 2j, dtype=np.complex64)
         for bad in ({"shape": [2, 2, 2], "b64": "!!notbase64!!"},
                     {"shape": [9, 9, 9], "b64": base64.b64encode(
                         b"\0" * 16).decode()},
                     {"shape": [2, 2], "data": [[1.0, 2.0], [3.0, 4.0]]},
                     "just a string",
-                    [[[np.inf]]]):
+                    [[[np.inf]]],
+                    {"shape": [1, 2, 2], "dtype": "<U1",
+                     "b64": base64.b64encode(strings.tobytes()).decode()},
+                    {"shape": [1, 2, 2], "dtype": "<U1",
+                     "data": strings.tolist()},
+                    {"shape": [1, 2, 2], "dtype": "complex64",
+                     "b64": base64.b64encode(complex_.tobytes()).decode()}):
             with pytest.raises(HttpError) as err:
                 decode_array(bad)
             assert err.value.status == 400
+
+    def test_bool_image_decodes(self):
+        flags = np.random.default_rng(14).random((1, 4, 4)) > 0.5
+        out = decode_array(encode_array(flags))
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, flags)
 
 
 # ----------------------------------------------------------------------
@@ -237,6 +251,25 @@ def stack():
         engine.close()
 
 
+@pytest.fixture()
+def counted():
+    """Open daemon over a demo gradcam engine whose classifier counts
+    its ``predict`` rows; the long flush deadline keeps a ``/v1/batch``
+    in one micro-batch."""
+    classifier, explainers = demo_spec(("gradcam",)).materialize()
+    counting = CountingClassifier(classifier)
+    engine = ExplainEngine(counting, explainers, max_batch=8,
+                           max_delay_ms=60_000.0,
+                           executor=ThreadedExecutor(workers=2))
+    daemon = serve(engine, port=0)
+    try:
+        yield daemon, _Client(daemon.url), counting
+    finally:
+        daemon.drain()
+        daemon.shutdown()
+        engine.close()
+
+
 class TestHttpRoundTrips:
     def test_sync_explain_b64(self, stack):
         daemon, client = stack
@@ -269,6 +302,33 @@ class TestHttpRoundTrips:
         assert status == 200
         predicted = int(daemon.engine.classifier.predict(img[None])[0])
         assert body["label"] == predicted
+
+    def test_omitted_label_repeat_is_a_hit_without_predict(self, counted):
+        daemon, client, counting = counted
+        img = encode_array(_noise(np.random.default_rng(21), 8))
+        status, first, _ = client("POST", "/v1/explain",
+                                  {"method": "gradcam", "image": img})
+        assert status == 200 and first["cache_hit"] is False
+        assert counting.rows == [1]
+        status, body, _ = client("POST", "/v1/explain",
+                                 {"method": "gradcam", "label": None,
+                                  "image": img})
+        assert status == 200 and body["cache_hit"] is True
+        assert body["label"] == first["label"]
+        assert counting.rows == [1]
+
+    def test_omitted_label_batch_runs_one_predict(self, counted):
+        daemon, client, counting = counted
+        rng = np.random.default_rng(22)
+        images = [_noise(rng, 8) for _ in range(4)]
+        status, body, _ = client(
+            "POST", "/v1/batch",
+            {"method": "gradcam",
+             "images": [encode_array(i) for i in images]})
+        assert status == 200
+        assert counting.rows == [4]
+        argmax = counting.inner.predict(np.stack(images))
+        assert [r["label"] for r in body["results"]] == list(argmax)
 
     def test_list_encoding_and_explicit_label(self, stack):
         daemon, client = stack
@@ -409,6 +469,51 @@ class TestHttpErrorPaths:
                                   "image": encode_array(_img(0, 8))})
         assert status == 400
         assert "'target'" in body["error"]
+
+    def test_out_of_range_label_400_keeps_the_method_serving(self, stack):
+        daemon, client = stack
+        rng = np.random.default_rng(13)
+        status, body, _ = client("POST", "/v1/explain",
+                                 {"method": "gradcam", "label": 2,
+                                  "image": encode_array(_noise(rng, 8))},
+                                 key="k-glob")
+        assert status == 400 and "'label'" in body["error"]
+        for i in range(5):
+            status, _, _ = client("POST", "/v1/explain",
+                                  {"method": "gradcam", "label": i % 2,
+                                   "image": encode_array(_noise(rng, 8))},
+                                  key="k-glob")
+            assert status == 200
+        status, _, _ = client("POST", "/v1/explain",
+                              {"method": "gradcam", "label": 0,
+                               "image": encode_array(_noise(rng, 16))},
+                              key="k-glob")
+        assert status == 200
+        assert daemon.engine.pending_count() == 0
+
+    def test_label_and_target_must_be_class_indices(self, stack):
+        daemon, client = stack
+        img = encode_array(_img(0, 8))
+        for field, value in (("label", -1), ("label", 1.7),
+                             ("label", True), ("label", "1"),
+                             ("target", 5), ("target", -1)):
+            status, body, _ = client("POST", "/v1/explain",
+                                     {"method": "gradcam", "image": img,
+                                      field: value}, key="k-glob")
+            assert status == 400, (field, value)
+            assert repr(field) in body["error"]
+
+    def test_batch_with_one_bad_label_computes_nothing(self, stack):
+        daemon, client = stack
+        before = daemon.engine.stats()["batches_run"]
+        status, body, _ = client(
+            "POST", "/v1/batch",
+            {"method": "gradcam", "labels": [0, 9],
+             "images": [encode_array(_img(i, 8)) for i in range(2)]},
+            key="k-glob")
+        assert status == 400 and "'labels'" in body["error"]
+        assert daemon.engine.stats()["batches_run"] == before
+        assert daemon.engine.pending_count() == 0
 
     def test_non_integer_batch_label_400(self, stack):
         daemon, client = stack

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import CountingClassifier
 
 from repro.serve import (EngineOverloaded, EngineSpec, ExplainEngine,
                          ProcessExecutor, WorkerBatchError, WorkerCrashed,
@@ -118,6 +119,27 @@ class TestProcessExecutor:
                 peak = max(np.abs(l.saliency).max(), 1e-12)
                 assert np.abs(r.saliency - l.saliency).max() / peak < 1e-3
                 assert r.label == l.label
+
+    def test_omitted_labels_resolve_in_parent(self, pool):
+        """``label=None`` resolves in the parent, one predict per batch;
+        the workers receive plain labels, so the maps match the serial
+        engine's and the labels are the classifier's argmax."""
+        classifier, explainers, executor = pool
+        counting = CountingClassifier(classifier)
+        engine = ExplainEngine(counting, explainers, executor=executor,
+                               max_batch=4)
+        serial = ExplainEngine(classifier, explainers, max_batch=4)
+        images = _images(4)
+        argmax = list(classifier.predict(images))
+        for method in ("gradcam", "occlusion"):
+            handles = [engine.submit(img, None, method) for img in images]
+            local = [serial.submit(img, None, method) for img in images]
+            for r, l in zip(handles, local):
+                r, l = r.result(), l.result()
+                peak = max(np.abs(l.saliency).max(), 1e-12)
+                assert np.abs(r.saliency - l.saliency).max() / peak < 1e-3
+            assert [h.result().label for h in handles] == argmax
+        assert counting.rows == [4, 4]
 
     def test_worker_measured_cost_feeds_cache(self, pool):
         # The sleeper costs ~100 ms/map *inside the worker*; the cost

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import CountingClassifier, StubExplainer
 
 from repro.explain import GradCAMExplainer, OcclusionExplainer
 from repro.serve import ExplainEngine, SaliencyCache, request_key
@@ -206,6 +207,97 @@ class TestExplainEngine:
         engine.flush("gradcam")
         assert targeted.result().target_label == 0
         assert untargeted.result().target_label is None
+
+
+class TestModelCallLabels:
+    """``label=None`` explains the classifier's own call: it is keyed as
+    ``None`` in the cache and in dedup, and a micro-batch of misses
+    resolves its labels with one batched ``predict``."""
+
+    @staticmethod
+    def _engine(tiny_classifier, classifier=None):
+        return ExplainEngine(
+            classifier or tiny_classifier,
+            {"gradcam": GradCAMExplainer(tiny_classifier),
+             "occlusion": OcclusionExplainer(tiny_classifier, window=4,
+                                             stride=4)},
+            max_batch=4, cache_size=16)
+
+    @pytest.mark.parametrize("method,compiled", [("gradcam", 1),
+                                                 ("occlusion", 0)])
+    def test_one_predict_per_micro_batch(self, tiny_classifier, sample,
+                                         method, compiled):
+        images, labels = sample
+        counting = CountingClassifier(tiny_classifier)
+        engine = self._engine(tiny_classifier, counting)
+        handles = [engine.submit(images[i], None, method) for i in range(3)]
+        # The fourth, labeled, request fills the batch and flushes it.
+        handles.append(engine.submit(images[3], int(labels[3]), method))
+        stats = engine.stats()
+        assert stats["batches_run"] == 1
+        assert stats["plans"]["compiled"] == compiled   # plan vs tape
+        assert counting.rows == [3]
+        got = [h.result() for h in handles]
+        called = tiny_classifier.predict(images[:3])
+        assert [r.label for r in got] == [*called, int(labels[3])]
+        # The same batch with those labels supplied computes the same
+        # maps, bit for bit.
+        supplied = self._engine(tiny_classifier).explain_batch(
+            images[:4], np.append(called, labels[3]), method)
+        for result, reference in zip(got, supplied):
+            np.testing.assert_array_equal(result.saliency,
+                                          reference.saliency)
+        # A repeat is a tier-1 hit: no classifier call at all.
+        again = engine.submit(images[0], None, method)
+        assert again.cache_hit and again.result() is got[0]
+        assert counting.rows == [3]
+
+    def test_omitted_label_dedups_onto_one_predicted_row(
+            self, tiny_classifier, sample):
+        images, _ = sample
+        counting = CountingClassifier(tiny_classifier)
+        engine = self._engine(tiny_classifier, counting)
+        first = engine.submit(images[0], None, "gradcam")
+        second = engine.submit(images[0], None, "gradcam")
+        assert engine.pending_count() == 1
+        assert engine.stats()["dedup_hits"] == 1
+        engine.flush("gradcam")
+        assert counting.rows == [1]
+        assert first.result() is second.result()
+        assert first.result().label == int(
+            tiny_classifier.predict(images[:1])[0])
+
+    def test_supplied_label_never_shares_the_omitted_entry(
+            self, tiny_classifier, sample):
+        images, _ = sample
+        engine = self._engine(tiny_classifier)
+        omitted = engine.explain(images[0], None, "gradcam")
+        supplied = engine.submit(images[0], omitted.label, "gradcam")
+        assert not supplied.cache_hit
+        assert supplied.result().label == omitted.label
+        assert engine.stats()["batches_run"] == 2
+
+    def test_out_of_range_label_or_target_refused_before_enqueue(
+            self, engine, sample):
+        images, labels = sample
+        for label, target in ((2, None), (-1, None), (0, 2), (0, -1)):
+            for submit in (engine.submit, engine.submit_async):
+                with pytest.raises(ValueError, match="outside"):
+                    submit(images[0], label, "gradcam", target)
+        assert engine.pending_count() == 0
+        assert engine.stats()["unresolved"] == 0
+        # Nothing was wedged: the next valid request serves.
+        result = engine.explain(images[0], int(labels[0]), "gradcam")
+        assert result.label == int(labels[0])
+
+    def test_engine_without_classifier_refuses_omitted_label(self):
+        engine = ExplainEngine(None, {"stub": StubExplainer()})
+        image = np.zeros((1, 4, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="classifier"):
+            engine.submit(image, None, "stub")
+        assert engine.pending_count() == 0
+        # Without a classifier there is no class bound to check.
+        assert engine.explain(image, 7, "stub").label == 7
 
 
 class TestResolveTargets:

@@ -8,6 +8,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import CountingClassifier
 
 from repro.explain.base import Explainer, SaliencyResult
 from repro.serve import (ExplainEngine, ProcessExecutor, SaliencyCache,
@@ -155,6 +156,24 @@ class TestPersistence:
             assert stats["entries"] == 5
             assert all(reopened.get(_key(i)) is not None
                        for i in range(5))
+
+    @pytest.mark.parametrize("corrupt_journal", [False, True])
+    def test_null_label_key_reopens(self, tmp_path, corrupt_journal):
+        """A ``None``-label key survives journal replay and the scan
+        rebuild; the record keeps the resolved label."""
+        directory = str(tmp_path / "s")
+        key = ("digest-null", "gradcam", None, None)
+        with SaliencyStore(directory) as store:
+            store.put(key, _result(1), cost_ms=3.0)
+        if corrupt_journal:
+            with open(os.path.join(directory, "index.jsonl"), "a") as fh:
+                fh.write("not json at all\n")
+        with SaliencyStore(directory) as reopened:
+            assert reopened.stats()["rebuilds"] == int(corrupt_journal)
+            result, cost = reopened.get(key)
+            assert cost == 3.0
+            assert result.label == _result(1).label
+            assert reopened.get(("digest-null", "gradcam", 1, None)) is None
 
     def test_torn_tail_record_dropped_scan_keeps_rest(self, tmp_path):
         """Crash consistency: a write torn mid-record (power loss during
@@ -314,6 +333,29 @@ class TestEngineWarmRestart:
             np.testing.assert_allclose(w.saliency, o.saliency,
                                        rtol=2e-3, atol=2e-3)
             assert w.label == o.label
+
+    def test_restart_serves_omitted_label_from_store(self, tmp_path):
+        """A ``label=None`` entry persists under its ``None`` key, so a
+        restarted engine serves it from tier 2 without a classifier
+        call; the record carries the resolved label."""
+        directory = str(tmp_path / "store")
+        classifier, explainers = demo_spec(("gradcam",)).materialize()
+        image = _images(1)[0]
+        runs = []
+        for _ in range(2):
+            counting = CountingClassifier(classifier)
+            with ExplainEngine(counting, explainers, max_batch=4,
+                               store=directory) as engine:
+                result = engine.explain(image, None, "gradcam")
+                runs.append((result, counting.rows, engine.stats()))
+        (first, first_rows, _), (warm, rows, stats) = runs
+        assert first_rows == [1]
+        assert rows == []
+        assert stats["store_served"] == 1
+        argmax = int(classifier.predict(image[None])[0])
+        assert warm.label == first.label == argmax
+        np.testing.assert_allclose(warm.saliency, first.saliency,
+                                   rtol=2e-3, atol=2e-3)
 
     def test_engine_without_store_reports_none(self):
         with ExplainEngine(None, {"stub": CountingStub()},
