@@ -1,9 +1,16 @@
 """Micro-benchmarks for the repro.nn performance substrate.
 
 Times the hot paths the perf PRs optimise — conv forward/backward, a
-full ``bbcfe_step``, and an occlusion saliency sweep — and writes
-machine-readable results to ``BENCH_substrate.json`` at the repo root so
-successive PRs accumulate a perf trajectory.
+full ``bbcfe_step``, an occlusion saliency sweep, and classifier
+inference — and writes machine-readable results to
+``BENCH_substrate.json`` at the repo root so successive PRs accumulate a
+perf trajectory.
+
+``classifier_predict`` also times the no-grad tape forward that
+``predict_proba`` replaced (``tape_seconds``, ungated by
+``tools/check_bench.py``) and the script exits non-zero, after writing
+its results, when the same-run ratio ``tape_seconds / seconds`` falls
+below 1.3: a revert to the tape fails on any machine.
 
 The script runs unmodified on older revisions (it feature-detects
 ``nn.no_grad``), which is how the seed baseline was recorded::
@@ -20,6 +27,7 @@ speedup per benchmark.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -121,11 +129,45 @@ def bench_occlusion_sweep(repeats: int) -> float:
     return _timeit(run, repeats)
 
 
-BENCHES: Dict[str, Callable[[int], float]] = {
+#: Least ``tape_seconds / seconds`` that ``classifier_predict`` accepts,
+#: and the fewest interleaved (kernel, tape) pairs it is measured over.
+MIN_PREDICT_SPEEDUP = 1.3
+MIN_PREDICT_PAIRS = 5
+
+
+def bench_classifier_predict(repeats: int) -> Dict[str, float]:
+    """LIME's per-image call: ``predict_proba`` on 400 rows at 1x32x32
+    (width 12, 4 classes), and the eval-mode tape forward it replaced,
+    in that forward's old 64-row chunks.  The two are timed in
+    alternation so that host noise lands on both sides of the ratio."""
+    rng = np.random.default_rng(0)
+    classifier = SmallResNet(num_classes=4, width=12, seed=0)
+    classifier.eval()
+    images = rng.random((400, 1, 32, 32)).astype(DTYPE)
+
+    def kernel() -> None:
+        classifier.predict_proba(images)
+
+    def tape() -> None:
+        with NO_GRAD() if NO_GRAD else contextlib.nullcontext():
+            for start in range(0, len(images), 64):
+                batch = nn.Tensor(images[start:start + 64])
+                F.softmax(classifier(batch), axis=-1)
+
+    kernel()
+    tape()
+    pairs = [(_timeit(kernel, 1, warmup=0), _timeit(tape, 1, warmup=0))
+             for _ in range(max(repeats, MIN_PREDICT_PAIRS))]
+    seconds, tape_seconds = np.median(pairs, axis=0)
+    return {"seconds": float(seconds), "tape_seconds": float(tape_seconds)}
+
+
+BENCHES: Dict[str, Callable[[int], object]] = {
     "conv_forward": bench_conv_forward,
     "conv_backward": bench_conv_backward,
     "bbcfe_step": bench_bbcfe_step,
     "occlusion_sweep": bench_occlusion_sweep,
+    "classifier_predict": bench_classifier_predict,
 }
 
 
@@ -143,9 +185,20 @@ def main() -> None:
     for name, fn in BENCHES.items():
         if args.only and name not in args.only:
             continue
-        seconds = fn(args.repeats)
-        results[name] = {"seconds": seconds}
-        print(f"{name:>16}: {seconds * 1000:8.1f} ms")
+        timed = fn(args.repeats)
+        results[name] = timed if isinstance(timed, dict) \
+            else {"seconds": timed}
+        print(f"{name:>18}: {results[name]['seconds'] * 1000:8.1f} ms")
+
+    failures = []
+    predict = results.get("classifier_predict")
+    if predict:
+        ratio = predict["tape_seconds"] / predict["seconds"]
+        print(f"classifier_predict: tape {predict['tape_seconds'] * 1000:.1f}"
+              f" ms, {ratio:.2f}x")
+        if ratio < MIN_PREDICT_SPEEDUP:
+            failures.append(f"classifier_predict is {ratio:.2f}x the tape "
+                            f"forward, below {MIN_PREDICT_SPEEDUP}x")
 
     doc = {}
     if os.path.exists(args.out):
@@ -173,6 +226,8 @@ def main() -> None:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.out}")
+    if failures:
+        raise SystemExit("\n".join(failures))
 
 
 if __name__ == "__main__":

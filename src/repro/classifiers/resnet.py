@@ -52,6 +52,8 @@ class SmallResNet(nn.Module):
       (for Grad-CAM).
     * :attr:`bias_parameters` and :meth:`forward_with_all_features`
       support FullGrad's bias-gradient aggregation.
+    * :meth:`predict_proba` (the black-box API) skips the tape: a BN-folded
+      channels-last kernel computing the eval-mode ``softmax(forward)``.
     """
 
     def __init__(self, num_classes: int, in_channels: int = 1,
@@ -106,25 +108,83 @@ class SmallResNet(nn.Module):
 
     # ------------------------------------------------------------------
     def predict_proba(self, images: np.ndarray,
-                      batch_size: int = 64) -> np.ndarray:
-        """Black-box inference API: images (N, C, H, W) -> probabilities."""
-        # Restore the caller's mode instead of unconditionally flipping
-        # to train(): a served (eval-mode) classifier stays eval, so
-        # concurrent predict calls from executor workers never race one
-        # thread's eval batches against another's train() restore (which
-        # would switch BatchNorm to batch stats mid-sweep and corrupt
-        # the shared running statistics).
-        was_training = self.training
-        self.eval()
-        outputs = []
-        with nn.no_grad():
-            for start in range(0, len(images), batch_size):
-                batch = nn.Tensor(images[start:start + batch_size])
-                logits = self.forward(batch)
-                outputs.append(F.softmax(logits, axis=-1).data)
-        if was_training:
-            self.train()
-        return np.concatenate(outputs, axis=0)
+                      batch_size: int = 16) -> np.ndarray:
+        """Black-box inference API: images (N, C, H, W) -> probabilities.
 
-    def predict(self, images: np.ndarray, batch_size: int = 64) -> np.ndarray:
+        A tape-free kernel, not :meth:`forward`: every call folds each
+        eval-mode BatchNorm into its conv from the live parameters, keeps
+        activations channels-last (NHWC) up to the global pool, and runs
+        each conv of each ``batch_size``-row chunk as one patch gather
+        plus one GEMM per sample.
+
+        Contract: always BatchNorm running statistics, whatever
+        :attr:`training` says; no mode flag is read and no module state
+        written, so concurrent calls on one model are safe in any mode.
+        The dtype is numpy's promotion of input and weights, and zero
+        rows give ``(0, num_classes)``.
+        """
+        images = np.asarray(images)
+        convs = [_fold(self.stem, self.stem_bn)] + [
+            (_fold(b.conv1, b.bn1), _fold(b.conv2, b.bn2),
+             None if b.proj is None else _fold(b.proj))
+            for b in (self.stage1, self.stage2, self.stage3)]
+        # Zero rows still run one empty chunk: (0, num_classes) comes out.
+        return np.concatenate([
+            self._infer(images[start:start + batch_size], convs)
+            for start in range(0, max(len(images), 1), batch_size)])
+
+    def _infer(self, images: np.ndarray, convs: list) -> np.ndarray:
+        h = _conv_nhwc(images.transpose(0, 2, 3, 1), *convs[0])
+        np.maximum(h, 0, out=h)
+        for conv1, conv2, proj in convs[1:]:
+            t = _conv_nhwc(h, *conv1)
+            np.maximum(t, 0, out=t)
+            t = _conv_nhwc(t, *conv2)
+            t += h if proj is None else _conv_nhwc(h, *proj)
+            h = np.maximum(t, 0, out=t)
+        # The head is per-sample too, so no row depends on its chunk.
+        logits = np.matmul(h.mean(axis=(1, 2))[:, None],
+                           self.head.weight.data.T) + self.head.bias.data
+        exps = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return (exps / exps.sum(axis=-1, keepdims=True))[:, 0]
+
+    def predict(self, images: np.ndarray, batch_size: int = 16) -> np.ndarray:
         return self.predict_proba(images, batch_size).argmax(axis=1)
+
+
+def _fold(conv: nn.Conv2d, bn: Optional[nn.BatchNorm2d] = None):
+    """``conv`` (then eval-mode ``bn``) as one conv: ``(W', b', k, stride,
+    padding)`` with ``W'`` laid out ``(k*k*C_in, C_out)`` in (ki, kj, c)
+    row order, matching :func:`_conv_nhwc`'s patch columns."""
+    w = conv.weight.data
+    b = conv.bias.data
+    if bn is not None:
+        s = bn.weight.data / np.sqrt(bn.running_var + bn.eps)
+        w = w * s[:, None, None, None]
+        b = (b - bn.running_mean) * s + bn.bias.data
+    c_out, __, k, __ = w.shape
+    return (w.transpose(2, 3, 1, 0).reshape(-1, c_out), b, k, conv.stride,
+            conv.padding)
+
+
+def _conv_nhwc(x: np.ndarray, w: np.ndarray, b: np.ndarray, k: int,
+               stride: int, padding: int) -> np.ndarray:
+    """Channels-last conv: (n, H, W, C_in) -> (n, oh, ow, C_out)."""
+    n, h, wd, c = x.shape
+    if padding:
+        padded = np.zeros((n, h + 2 * padding, wd + 2 * padding, c),
+                          dtype=x.dtype)
+        padded[:, padding:padding + h, padding:padding + wd] = x
+        x = padded
+    oh = (x.shape[1] - k) // stride + 1
+    ow = (x.shape[2] - k) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(n, oh, ow, k, k, c),
+        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False)
+    # One GEMM per sample, (L, k*k*C) @ (k*k*C, C_out): the tape's M*N*K,
+    # so BLAS threads as before (one GEMM over all n*L rows crosses its
+    # threading threshold and starves a 2-worker pool on 2 cores).
+    out = np.matmul(windows.reshape(n, oh * ow, k * k * c), w)
+    out += b
+    return out.reshape(n, oh, ow, w.shape[1])

@@ -149,3 +149,13 @@ class TestPerturbationEdgeCases:
                                    rng=np.random.default_rng(0),
                                    fill="random")
         assert curve.drops[-1] > 0
+
+    def test_occlusion_of_no_images_is_empty(self):
+        """A zero-row batch reaches the real classifier's predict_proba,
+        which returns (0, num_classes) rather than raising."""
+        from repro.classifiers import SmallResNet
+        from repro.explain.occlusion import OcclusionExplainer
+        explainer = OcclusionExplainer(SmallResNet(2, width=8), window=4,
+                                       stride=4)
+        assert explainer.explain_batch(np.zeros((0, 1, 16, 16)),
+                                       np.zeros(0, dtype=np.int64)) == []
