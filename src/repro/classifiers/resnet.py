@@ -61,6 +61,7 @@ class SmallResNet(nn.Module):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.num_classes = num_classes
+        self.in_channels = in_channels
         self.stem = nn.Conv2d(in_channels, width, 3, padding=1, rng=rng)
         self.stem_bn = nn.BatchNorm2d(width)
         self.stage1 = _BasicBlock(width, width, stride=1, rng=rng)

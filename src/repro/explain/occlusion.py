@@ -32,10 +32,11 @@ class OcclusionExplainer(Explainer):
         self.fill = fill
         self.max_batch = max_batch
 
-    def _positions(self, h: int, w: int) -> List[Tuple[int, int]]:
+    def _positions(self, h: int, w: int,
+                   side: int) -> List[Tuple[int, int]]:
         return [(top, left)
-                for top in range(0, h - self.window + 1, self.stride)
-                for left in range(0, w - self.window + 1, self.stride)]
+                for top in range(0, h - side + 1, self.stride)
+                for left in range(0, w - side + 1, self.stride)]
 
     def explain_batch(self, images: np.ndarray, labels: np.ndarray,
                       target_labels: Optional[np.ndarray] = None) -> list:
@@ -44,7 +45,10 @@ class OcclusionExplainer(Explainer):
         labels = np.asarray(labels, dtype=np.int64)
         targets = resolve_targets(labels, target_labels)
         n, c, h, w = images.shape
-        positions = self._positions(h, w)
+        # The occluder shrinks to fit an image smaller than the window,
+        # so every image has at least one position.
+        side = min(self.window, h, w)
+        positions = self._positions(h, w, side)
         n_pos = len(positions)
         fills = np.full(n, self.fill, dtype=images.dtype) \
             if self.fill is not None else images.mean(axis=(1, 2, 3))
@@ -59,8 +63,7 @@ class OcclusionExplainer(Explainer):
             m = len(imgs)
             batch = np.repeat(imgs, n_pos, axis=0).reshape(m, n_pos, c, h, w)
             for j, (top, left) in enumerate(positions):
-                batch[:, j, :, top:top + self.window,
-                      left:left + self.window] = \
+                batch[:, j, :, top:top + side, left:left + side] = \
                     fills[start:start + m, None, None, None]
             probs = self.classifier.predict_proba(
                 batch.reshape(m * n_pos, c, h, w)).reshape(m, n_pos, -1)
@@ -75,8 +78,8 @@ class OcclusionExplainer(Explainer):
             saliency = np.zeros((h, w))
             counts = np.zeros((h, w))
             for (top, left), drop in zip(positions, drops[i]):
-                saliency[top:top + self.window, left:left + self.window] += drop
-                counts[top:top + self.window, left:left + self.window] += 1
+                saliency[top:top + side, left:left + side] += drop
+                counts[top:top + side, left:left + side] += 1
             counts[counts == 0] = 1
             results.append(SaliencyResult(saliency / counts, int(labels[i]),
                                           target_or_none(targets, i),

@@ -8,11 +8,16 @@ batch executor — behind the serving API the rest of the repo consumes:
 * ``submit`` / ``flush`` / ``explain`` / ``explain_batch`` — the
   synchronous contract (unchanged from the pre-runtime engine): submits
   auto-flush on ``max_batch`` unique pending requests or on the
-  ``max_delay_ms`` deadline, and a failing micro-batch propagates its
-  exception with the requests left queued for a retry.
+  ``max_delay_ms`` deadline.
 * ``submit_async`` / ``drain`` — the non-blocking path: full micro-
   batches are dispatched to the executor without waiting, and
   ``drain()`` resolves everything in flight plus everything queued.
+* **Failure isolation** — a micro-batch that raises is re-run as two
+  halves, recursively, down to single requests, so a bad request fails
+  only itself (its handles raise the error from ``result()``) and the
+  re-runs absorb a transient failure.  Nothing goes back on a queue:
+  every admitted request ends served, failed or expired, and
+  ``flush``, ``drain`` and ``close`` never re-raise a request's error.
 * **Admission control** — ``max_pending`` bounds the unique unresolved
   requests the async path may hold (queued plus dispatched-but-
   unfinished).  An over-limit ``submit_async`` either blocks on a
@@ -66,6 +71,12 @@ ADMISSION_POLICIES = ("block", "reject")
 #: HTTP tier sends as ``Retry-After``.
 QUOTA_RETRY_AFTER_S = 1.0
 
+#: Every tenant's lifetime counters, as ``stats()["tenants"]`` reports
+#: them; ``served + requests_failed + deadline_expired`` is the number
+#: of handles the tenant's submits returned.
+_TENANT_COUNTERS = {"served": 0, "requests_failed": 0,
+                    "deadline_expired": 0, "quota_rejected": 0}
+
 
 def _merge_plan_stats(parent: Optional[Dict], worker_stats: List[dict]
                       ) -> Dict:
@@ -89,12 +100,9 @@ class EngineOverloaded(RuntimeError):
     The rejected request was not queued; the caller owns the retry (or
     the shed).
 
-    A ``policy="block"`` submit raises it in exactly one situation:
-    the backpressure can never drain because the pending work keeps
-    failing even after the blocked submit's own retry dispatch (the
-    batch failure rides along as ``__cause__`` and its requests stay
-    queued for another retry).  A transient, fails-once batch recovers
-    transparently inside the block."""
+    It also resolves a request whose batch found a process pool with no
+    live worker left (the :class:`~repro.serve.worker.WorkerCrashed`
+    rides along as ``__cause__``): only a fresh executor can run it."""
 
 
 class TenantOverQuota(EngineOverloaded):
@@ -170,8 +178,8 @@ class PendingExplain:
 
         An async-dispatched batch is awaited through its future; a
         still-queued request forces a flush of the owning method.  A
-        failing micro-batch propagates its exception (the requests stay
-        queued for a retry); a request whose deadline passed while it
+        request whose own batch raised (after isolation, see the module
+        doc) raises that error; a request whose deadline passed while it
         was queued raises :class:`DeadlineExceeded`; a request that
         somehow remains unresolved raises instead of returning None.
         """
@@ -183,7 +191,7 @@ class PendingExplain:
             request = self._request
             future = request.future if request is not None else None
             if future is not None:
-                future.result()        # waits; re-raises a batch failure
+                future.result()        # waits; re-raises an interrupt
                 continue               # _result set before future cleared
             self.engine.flush(self.method)
             if self._result is not None or self._error is not None:
@@ -367,10 +375,12 @@ class ExplainEngine:
         self.store_served = 0
         self.batches_run = 0
         self.requests_served = 0
+        #: Handles resolved with the error their own batch raised.
+        self.requests_failed = 0
         #: Requests resolved as DeadlineExceeded without compute.
         self.deadline_expired = 0
-        #: tenant -> {"served": n, "deadline_expired": n}.  Cache/store
-        #: hit breakdowns live in their own stats sections.
+        #: tenant -> its ``_TENANT_COUNTERS``.  Cache/store hit
+        #: breakdowns live in their own stats sections.
         self._tenants: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
@@ -442,6 +452,7 @@ class ExplainEngine:
                 "store_served": self.store_served,
                 "batches_run": self.batches_run,
                 "requests_served": self.requests_served,
+                "requests_failed": self.requests_failed,
                 "pending": self._scheduler.pending_count(),
                 "pending_handles": self._scheduler.pending_handles(),
                 "queues": self._scheduler.queue_stats(),
@@ -478,28 +489,15 @@ class ExplainEngine:
 
         Shutting the executor down while requests still sit queued or
         in flight would silently strand their unresolved handles, so
-        ``close()`` drains first.  A failing batch gets one retry (its
-        requests requeue at the front); a batch that still fails leaves
-        the engine closed — no worker leak — but re-raises so stranded
-        handles are loud, not lost.
+        ``close()`` drains first.  A failed request already carries its
+        error on its handle, so only an interrupt propagates from here
+        — after the workers are shut down, so close() never leaks them.
         """
         if self._closed:
             return
-        error: Optional[Exception] = None
         try:
-            for _ in range(2):             # initial drain + one retry
-                try:
-                    self.drain()
-                    error = None
-                    break
-                except Exception as exc:
-                    # Only batch failures are retried; KeyboardInterrupt
-                    # / SystemExit must propagate, not be eaten by a
-                    # second full drain.
-                    error = exc
+            self.drain()
         finally:
-            # Shut the workers down on every exit path — including a
-            # propagating interrupt — so close() never leaks them.
             self._closed = True
             self._executor.shutdown()
             self._plan_cache.close()
@@ -508,8 +506,6 @@ class ExplainEngine:
                 # journal, so the next engine on this directory opens
                 # warm with a pure replay.
                 self._store.close()
-        if error is not None:
-            raise error
 
     def __enter__(self) -> "ExplainEngine":
         return self
@@ -562,8 +558,8 @@ class ExplainEngine:
             # replicas, so no per-method lock is needed (two batches of
             # one method may overlap on different workers) and the
             # worker's own wall clock is the pure-compute cost.  A pool
-            # with no survivors can never drain what is queued — that
-            # is the admission contract's "cannot make progress" case,
+            # with no survivors can never run another batch — that is
+            # the admission contract's "cannot make progress" case,
             # surfaced in its own type with the crash as the cause.
             # The images go unstacked (each is written straight into an
             # arena slot), and the worker's stamps land on the contexts.
@@ -574,9 +570,8 @@ class ExplainEngine:
             except WorkerCrashed as exc:
                 if getattr(self._executor, "alive_workers", 1) == 0:
                     raise EngineOverloaded(
-                        "process pool has no live workers; the batch is "
-                        "requeued but only a fresh executor can run it"
-                    ) from exc
+                        "process pool has no live workers; only a fresh "
+                        "executor can run this batch") from exc
                 raise
         else:
             images = np.stack([r.image for r in requests])
@@ -657,28 +652,31 @@ class ExplainEngine:
                                                           limit=limit)
                                 if ready_only
                                 else self._scheduler.pop_batches(method))
-            if expired:
-                # Pruned from their queues by the pop pass: resolve as
-                # DeadlineExceeded in the same critical section, so a
-                # concurrent result() observes queued -> errored with no
-                # futureless limbo in between.
-                self._resolve_expired_locked(expired)
+            # Pruned from their queues by the pop pass: resolve as
+            # DeadlineExceeded in the same critical section, so a
+            # concurrent result() observes queued -> errored with no
+            # futureless limbo in between.  No executor dispatch, no
+            # cache insert, no adaptive-batching observation.
+            for request in expired:
+                rctx = request.ctx.stamp("resolved")
+                waited_ms = (rctx.resolved_at
+                             - (rctx.admitted_at or rctx.resolved_at)) * 1e3
+                self._resolve_error_locked(request, DeadlineExceeded(
+                    f"request {rctx.trace_id} ({rctx.priority}) missed "
+                    f"its deadline after {waited_ms:.1f} ms queued", rctx),
+                    "deadline_expired")
             prepared = []
             if track and batches:
                 # Prune settled futures so a long-lived engine whose
                 # callers resolve via handle.result() (never drain())
                 # doesn't accumulate done futures without bound.  Their
                 # resolve counts are banked for drain()'s return value;
-                # failed futures are kept so drain() still re-raises —
-                # unless the failure went stale (a retry resolved every
-                # handle of the batch), in which case there is nothing
-                # left to report.
+                # a future carrying an interrupt is kept so drain()
+                # re-raises it.
                 kept = []
                 for f in self._inflight:
                     if f.done() and f.exception() is None:
                         self._async_resolved += f.result()
-                    elif f.done() and self._failure_is_stale(f):
-                        pass
                     else:
                         kept.append(f)
                 self._inflight = kept
@@ -688,50 +686,26 @@ class ExplainEngine:
                     request.future = future
                     request.ctx.stamp("dispatched")
                 if track:
-                    # Remember the batch behind the future: if it fails
-                    # and a later flush/result() retry resolves the
-                    # requeued requests, the parked exception is stale
-                    # and drain() must not re-raise it.
-                    future.engine_requests = requests
                     self._inflight.append(future)
                 prepared.append((future, queue_key, requests))
             return prepared
-
-    @staticmethod
-    def _failure_is_stale(future: Future) -> bool:
-        """True when every handle of a failed tracked batch has since
-        resolved (its requeued requests were retried successfully by a
-        flush or ``result()``): the exception reports work that already
-        recovered, so surfacing it would be a spurious crash.  Call
-        under the engine lock (handle lists mutate under it)."""
-        requests = getattr(future, "engine_requests", None)
-        if not requests:
-            return False
-        return all(handle._result is not None or handle._error is not None
-                   for request in requests for handle in request.handles)
 
     def _count_tenant(self, tenant: Optional[str], field: str) -> None:
         """Bump one per-tenant counter (engine lock held); anonymous
         requests (no tenant) aggregate only into the global counters."""
         if tenant is None:
             return
-        entry = self._tenants.setdefault(
-            tenant, {"served": 0, "deadline_expired": 0,
-                     "quota_rejected": 0})
-        entry.setdefault(field, 0)
-        entry[field] += 1
+        self._tenants.setdefault(tenant, dict(_TENANT_COUNTERS))[field] += 1
 
     def _tenant_stats_locked(self) -> Dict[str, Dict[str, int]]:
         """Per-tenant counter snapshot (engine lock held): lifetime
-        served/expired/quota-rejected counts plus the live
+        served/failed/expired/quota-rejected counts plus the live
         ``unresolved`` footprint of every tenant currently holding a
         quota slice."""
         tenants = {tenant: dict(counts) for tenant, counts
                    in sorted(self._tenants.items())}
         for tenant, held in self._tenant_unresolved.items():
-            entry = tenants.setdefault(
-                tenant, {"served": 0, "deadline_expired": 0,
-                         "quota_rejected": 0})
+            entry = tenants.setdefault(tenant, dict(_TENANT_COUNTERS))
             entry["unresolved"] = held
         return tenants
 
@@ -757,8 +731,7 @@ class ExplainEngine:
     def _release_tenant_slot(self, request: ExplainRequest) -> None:
         """Release a request's tenant-slice slot (idempotent).  Called
         at every path that retires the unique request: batch
-        completion, deadline expiry, failed-batch dedup merge, and
-        sync-submit discard."""
+        completion, deadline expiry, failure."""
         tenant = request.slot_tenant
         if tenant is None:
             return
@@ -769,47 +742,63 @@ class ExplainEngine:
         else:
             self._tenant_unresolved.pop(tenant, None)
 
-    def _resolve_expired_locked(self,
-                                expired: List[ExplainRequest]) -> None:
-        """Resolve deadline-expired requests (already pruned from their
-        queues) as :class:`DeadlineExceeded` — no executor dispatch, no
-        cache insert, no adaptive-batching observation.  Engine lock
-        held; counted requests release their admission slots here."""
-        freed = 0
-        for request in expired:
-            rctx = request.ctx
-            rctx.stamp("resolved")
-            waited_ms = (rctx.resolved_at
-                         - (rctx.admitted_at or rctx.resolved_at)) * 1000.0
-            error = DeadlineExceeded(
-                f"request {rctx.trace_id} ({rctx.priority}) missed its "
-                f"deadline after {waited_ms:.1f} ms queued", rctx)
-            for handle in request.handles:
-                hctx = handle.ctx
-                if hctx is not None and hctx is not rctx:
-                    hctx.absorb(rctx)
-                    hctx.stamp("resolved")
-                handle._error = error
-                self.deadline_expired += 1
-                self._count_tenant(
-                    hctx.tenant if hctx is not None else None,
-                    "deadline_expired")
-            if request.counted:
-                freed += 1
-            self._release_tenant_slot(request)
-        if freed:
-            self._unresolved -= freed
-            self._admission.notify_all()   # slots freed without compute
+    def _resolve_error_locked(self, request: ExplainRequest,
+                              error: BaseException, field: str) -> None:
+        """Retire one unique request without a result: resolve each
+        handle with ``error`` (absorbing the shared context's stamps),
+        release the admission slot and tenant slice, and count the
+        terminal state ``field`` (``"deadline_expired"`` or
+        ``"requests_failed"``) per handle, globally and per tenant.
+        Engine lock held."""
+        rctx = request.ctx
+        rctx.stamp("resolved")
+        for handle in request.handles:
+            hctx = handle.ctx
+            if hctx is not None and hctx is not rctx:
+                hctx.absorb(rctx)
+                hctx.stamp("resolved")
+            handle._error = error
+            self._count_tenant(hctx.tenant if hctx is not None else None,
+                               field)
+        setattr(self, field, getattr(self, field) + len(request.handles))
+        if request.counted:
+            self._unresolved -= 1
+            self._admission.notify_all()   # room freed: wake blocked submits
+        self._release_tenant_slot(request)
+
+    def _run_isolated(self, queue_key: QueueKey,
+                      requests: List[ExplainRequest]) -> int:
+        """Run one batch so that a bad request fails only itself: a
+        batch that raises an ``Exception`` re-runs as two halves,
+        recursively, and a lone request that raises resolves its handles
+        with the error.  It leaves the in-flight dedup map in that same
+        critical section, so a duplicate that attached while it ran gets
+        the error too, and a resubmit recomputes (failures are never
+        cached).  Returns the handles resolved, failed ones included."""
+        try:
+            return self._run_batch(queue_key, requests)
+        except Exception as exc:           # noqa: BLE001 — isolated below
+            if len(requests) > 1:
+                mid = len(requests) // 2
+                return (self._run_isolated(queue_key, requests[:mid])
+                        + self._run_isolated(queue_key, requests[mid:]))
+            with self._lock:
+                self._resolve_error_locked(requests[0], exc,
+                                           "requests_failed")
+                self._scheduler.mark_complete(requests)
+                return len(requests[0].handles)
 
     def _launch(self, future: Future, queue_key: QueueKey,
                 requests: List[ExplainRequest]) -> None:
         """Hand one prepared batch to the executor.
 
         The batch's future was assigned at pop time (so ``result()`` on
-        another thread can wait on it) and is cleared on completion; a
-        failing batch requeues its requests at the queue front before
-        the future carries the exception, preserving the flush-retry
-        contract across executors.
+        another thread can wait on it) and is cleared on completion.  It
+        completes with the number of handles resolved; request failures
+        stay on their handles (:meth:`_run_isolated`).  Only an
+        interrupt (a ``BaseException`` that is not an ``Exception``) is
+        set on it, after resolving every still-unresolved handle, so it
+        propagates from ``flush()`` and leaves nothing pending.
         """
 
         def run() -> None:
@@ -819,43 +808,20 @@ class ExplainEngine:
                 return
             try:
                 try:
-                    served = self._run_batch(queue_key, requests)
+                    served = self._run_isolated(queue_key, requests)
                 finally:
                     with self._lock:
                         self._dispatching -= 1
-            except BaseException as exc:   # noqa: BLE001
+            except BaseException as exc:   # noqa: BLE001 — an interrupt
                 with self._lock:
+                    unresolved = [r for r in requests
+                                  if not all(h.done for h in r.handles)]
+                    for request in unresolved:
+                        self._resolve_error_locked(request, exc,
+                                                   "requests_failed")
+                    self._scheduler.mark_complete(unresolved)
                     for request in requests:
                         request.future = None
-                    merged = self._scheduler.requeue_front(queue_key,
-                                                           requests)
-                    # A requeued request that merged onto a newer
-                    # duplicate shrank the unique pending set; its
-                    # admission slot transfers to the survivor (or is
-                    # released if the survivor already holds one).
-                    freed = 0
-                    for request in merged:
-                        newer = self._scheduler.lookup(queue_key,
-                                                       request.key)
-                        # The tenant slice transfers the same way the
-                        # global slot does: the surviving duplicate now
-                        # carries the unique work.
-                        if (request.slot_tenant is not None
-                                and newer is not None
-                                and newer.slot_tenant is None):
-                            newer.slot_tenant = request.slot_tenant
-                            request.slot_tenant = None
-                        else:
-                            self._release_tenant_slot(request)
-                        if not request.counted:
-                            continue
-                        if newer is not None and not newer.counted:
-                            newer.counted = True
-                        else:
-                            freed += 1
-                    if freed:
-                        self._unresolved -= freed
-                        self._admission.notify_all()
                 future.set_exception(exc)
             else:
                 with self._lock:
@@ -871,8 +837,8 @@ class ExplainEngine:
     def flush(self, method: Optional[str] = None) -> int:
         """Run all pending micro-batches (for one method or all),
         blocking until they resolve.  Returns the number of handles
-        resolved.  The first batch failure is re-raised after the
-        round completes; its requests are requeued for a retry.
+        resolved, failed ones included: a request's failure lands on
+        its own handles, so only an interrupt propagates from here.
         """
         resolved = 0
         while True:
@@ -880,15 +846,7 @@ class ExplainEngine:
                                              track=False)
             if not prepared:
                 return resolved
-            try:
-                resolved += self._run_prepared(prepared)
-            except BaseException:
-                # Earlier rounds' counts must survive the raise (the
-                # failing round banked its own partial); the next
-                # drain() pays them out.
-                with self._lock:
-                    self._async_resolved += resolved
-                raise
+            resolved += self._run_prepared(prepared)
 
     def _flush_ready(self, method: str) -> int:
         """Synchronously run only the queues of ``method`` that hit
@@ -898,65 +856,31 @@ class ExplainEngine:
         return self._run_prepared(prepared)
 
     def _run_prepared(self, prepared) -> int:
-        """Launch prepared batches and block until all resolve; the
-        first failure is re-raised after the round completes.  On a
-        failure the successful batches' handle counts are banked for
-        the next ``drain()`` rather than discarded."""
+        """Launch prepared batches and block until all resolve; returns
+        the number of handles resolved."""
         for future, queue_key, requests in prepared:
             self._launch(future, queue_key, requests)
-        resolved = 0
-        error: Optional[BaseException] = None
-        for future, _queue_key, _requests in prepared:
-            try:
-                resolved += future.result()
-            except BaseException as exc:   # noqa: BLE001
-                if error is None:
-                    error = exc
-        if error is not None:
-            with self._lock:
-                self._async_resolved += resolved
-            raise error
-        return resolved
+        return sum(future.result() for future, _, _ in prepared)
 
     def drain(self) -> int:
         """Resolve everything: await in-flight async batches, then flush
-        all queues.  Returns the number of handles resolved.  A batch
-        failure is re-raised (its requests stay queued for a retry);
-        call ``drain()`` again to retry.
-
-        When a failure re-raises, the handle counts of the batches that
-        *did* resolve this call are banked into ``_async_resolved`` —
-        not discarded — so a retry drain's return value reports the
-        true total instead of silently under-counting.
-        """
+        all queues.  Returns the number of handles resolved since the
+        last drain, failed ones included (a request's failure lands on
+        its own handles); only an interrupt propagates from here."""
         resolved = 0
-        try:
-            while True:
-                with self._lock:
-                    futures, self._inflight = self._inflight, []
-                    resolved += self._async_resolved
-                    self._async_resolved = 0
-                for i, future in enumerate(futures):
-                    try:
-                        resolved += future.result()
-                    except BaseException:
-                        with self._lock:
-                            stale = self._failure_is_stale(future)
-                            if not stale:
-                                self._inflight.extend(futures[i + 1:])
-                        if stale:
-                            continue   # a retry already resolved it all
-                        raise
-                resolved += self.flush()
-                with self._lock:
-                    idle = (not self._inflight
-                            and self._scheduler.pending_count() == 0)
-                if idle:
-                    return resolved
-        except BaseException:
+        while True:
             with self._lock:
-                self._async_resolved += resolved
-            raise
+                futures, self._inflight = self._inflight, []
+                resolved += self._async_resolved
+                self._async_resolved = 0
+            for future in futures:
+                resolved += future.result()
+            resolved += self.flush()
+            with self._lock:
+                idle = (not self._inflight
+                        and self._scheduler.pending_count() == 0)
+            if idle:
+                return resolved
 
     # ------------------------------------------------------------------
     def _block_for_admission(self) -> None:
@@ -968,64 +892,38 @@ class ExplainEngine:
         flight to free room — a serial executor, or ``max_pending``
         below every queue's flush point — the blocked submit itself
         dispatches queued work, so blocking always makes progress
-        instead of deadlocking.  Ready queues (full or past deadline)
-        go first; only if none exists are partial queues force-flushed,
-        so engaging backpressure doesn't needlessly break other
-        producers' accumulating micro-batches.  If the pending work
-        keeps *failing* (its batches requeue forever), a failure is
-        retried once by this loop's own dispatch; only a failure that
-        survives that retry — or one with nothing left to retry —
-        raises :class:`EngineOverloaded` (with the batch failure as
-        ``__cause__``) rather than spinning: backpressure that can
-        never drain is an error the producer must see, delivered in
-        the admission contract's own type.  A transient failure
-        recovers transparently.
+        instead of deadlocking: every dispatched request resolves
+        (served or failed), so each dispatch frees room.  Ready queues
+        (full or past deadline) go first; only if none exists are
+        partial queues force-flushed, so engaging backpressure doesn't
+        needlessly break other producers' accumulating micro-batches.
         """
         self.admission_blocked += 1
         start = time.monotonic()
-        retried_failure = False
         try:
             while self._unresolved >= self.max_pending:
-                if not any(not f.done() for f in self._inflight):
-                    failed: Optional[Future] = None
-                    for f in list(self._inflight):
-                        if f.done() and f.exception() is not None:
-                            if self._failure_is_stale(f):
-                                self._inflight.remove(f)
-                            elif failed is None:
-                                failed = f
-                    pending = self._scheduler.pending_count()
-                    if failed is not None and (retried_failure
-                                               or not pending):
-                        raise EngineOverloaded(
-                            "backpressure cannot drain: pending work "
-                            "keeps failing (see __cause__); its "
-                            "requests stay queued for a retry"
-                        ) from failed.exception()
-                    if pending:
+                if (not any(not f.done() for f in self._inflight)
+                        and self._scheduler.pending_count()):
+                    prepared = self._pop_and_prepare(
+                        None, ready_only=True, track=True)
+                    if not prepared:
                         prepared = self._pop_and_prepare(
-                            None, ready_only=True, track=True)
-                        if not prepared:
-                            prepared = self._pop_and_prepare(
-                                None, ready_only=False, track=True)
-                        # Launch without the engine lock (the popped
-                        # batches are already owned via their futures):
-                        # a SerialExecutor runs the batch inline, and
-                        # holding the lock across its method-lock wait
-                        # and compute would convoy every other producer
-                        # behind this one dispatch.  The lock is held
-                        # exactly once here (public submit entry), so
-                        # the release/acquire pair is balanced.
-                        self._lock.release()
-                        try:
-                            for future, queue_key, requests in prepared:
-                                self._launch(future, queue_key, requests)
-                        finally:
-                            self._lock.acquire()
-                        # Dispatching with a failure outstanding IS the
-                        # retry; a second failure after it raises.
-                        retried_failure = failed is not None
-                        continue
+                            None, ready_only=False, track=True)
+                    # Launch without the engine lock (the popped
+                    # batches are already owned via their futures): a
+                    # SerialExecutor runs the batch inline, and holding
+                    # the lock across its method-lock wait and compute
+                    # would convoy every other producer behind this one
+                    # dispatch.  The lock is held exactly once here
+                    # (public submit entry), so the release/acquire
+                    # pair is balanced.
+                    self._lock.release()
+                    try:
+                        for future, queue_key, requests in prepared:
+                            self._launch(future, queue_key, requests)
+                    finally:
+                        self._lock.acquire()
+                    continue
                 self._admission.wait(timeout=0.05)
         finally:
             self.admission_blocked_ms += (time.monotonic()
@@ -1038,7 +936,8 @@ class ExplainEngine:
         ctx = RequestContext.ensure(ctx)
         ctx.stamp("admitted")
         self._explainer(method)
-        # A failed batch is requeued, so refuse what no batch can run.
+        # Refuse up front what no batch can run: a client error, not a
+        # failed request.
         if label is None and self.classifier is None:
             raise ValueError("label=None needs the engine's classifier")
         n = getattr(self.classifier, "num_classes", None)
@@ -1174,25 +1073,9 @@ class ExplainEngine:
                 for future, queue_key, requests in prepared:
                     self._launch(future, queue_key, requests)
             else:
-                try:
-                    # Only the queue(s) that hit max_batch/deadline run;
-                    # partial queues of other shapes keep accumulating.
-                    self._flush_ready(method)
-                except Exception:
-                    # The exception propagates before the caller ever
-                    # holds the handle — drop the unresolved request
-                    # (unless dedup attached other handles to it) so a
-                    # retried submit doesn't enqueue a duplicate nobody
-                    # can resolve.
-                    with self._lock:
-                        if (handle._result is None
-                                and len(request.handles) == 1
-                                and self._scheduler.discard(request)):
-                            self._release_tenant_slot(request)
-                            if request.counted:
-                                self._unresolved -= 1
-                                self._admission.notify_all()
-                    raise
+                # Only the queue(s) that hit max_batch/deadline run;
+                # partial queues of other shapes keep accumulating.
+                self._flush_ready(method)
         return handle
 
     def submit(self, image: np.ndarray, label: Optional[int], method: str,

@@ -222,10 +222,11 @@ class ProcessExecutor:
 
     A worker that dies mid-batch (OOM kill, segfault, ``os._exit``)
     surfaces as :class:`~repro.serve.worker.WorkerCrashed` from its
-    batch; the channel is retired (arena unlinked), the pool shrinks,
-    and the engine's normal requeue-and-retry contract lands the batch
-    on a surviving worker.  A pool with no survivors raises on every
-    acquire — loudly, with the crash as the cause.
+    batch; the channel is retired (arena unlinked) and the pool
+    shrinks.  The engine's failure isolation re-runs a multi-request
+    batch as halves, which :meth:`_acquire` lands on surviving workers;
+    a lone request resolves with the crash.  A pool with no survivors
+    raises on every acquire — loudly, with the crash as the cause.
     """
 
     name = "process"

@@ -51,13 +51,19 @@ engine outcome                               status
 ===========================================  =====
 malformed JSON / bad image / bad field       400
 label/target not an integer in range         400
+image channels differ from the model's       400
 missing or unknown API key                   401
 unknown explain method, unknown route        404
 request body over ``MAX_BODY_BYTES``         413
 :class:`~repro.serve.engine.TenantOverQuota` 429 (+ ``Retry-After``)
+the request's own batch raised               500
 draining, or global ``EngineOverloaded``     503 (+ ``Retry-After``)
 :class:`~repro.serve.DeadlineExceeded`       504
 ===========================================  =====
+
+Other requests are unaffected by a ``500`` (the engine isolates a
+failed micro-batch down to its bad request); a ``/v1/batch`` fails if
+any of its maps failed.
 
 Graceful drain
 --------------
@@ -289,8 +295,10 @@ class ExplainService:
     ``engine.kick()`` every ``KICK_INTERVAL_S``, which is what makes
     async tickets complete without a client thread blocking on them.
 
-    Labels and targets are checked against ``num_classes`` while the
-    body is parsed; the wire label, an int or ``None``, goes to the
+    Labels and targets are checked against ``num_classes``, and each
+    image's channel count against the classifier's ``in_channels``,
+    while the body is parsed, so a client error is a ``400`` that
+    computes nothing.  The wire label, an int or ``None``, goes to the
     engine as is, so the service never runs the classifier itself.
     """
 
@@ -299,6 +307,7 @@ class ExplainService:
         self.engine = engine
         self.config = config or ServiceConfig()
         self.num_classes = getattr(engine.classifier, "num_classes", None)
+        self.in_channels = getattr(engine.classifier, "in_channels", None)
         self.started_at = time.monotonic()
         self.draining = False
         self._lock = threading.Lock()
@@ -403,6 +412,16 @@ class ExplainService:
         return RequestContext.with_timeout(deadline_ms, priority=priority,
                                            tenant=tenant)
 
+    def _image(self, obj) -> np.ndarray:
+        """A decoded request image whose channel count the model takes,
+        or :class:`HttpError` 400."""
+        image = decode_array(obj)
+        if (self.in_channels is not None
+                and image.shape[0] != self.in_channels):
+            raise HttpError(400, f"image has {image.shape[0]} channel(s); "
+                                 f"the model takes {self.in_channels}")
+        return image
+
     def _method(self, payload: dict) -> str:
         method = payload.get("method")
         if not isinstance(method, str) or not method:
@@ -455,7 +474,7 @@ class ExplainService:
         self._require_live()
         self._count("explain")
         method = self._method(payload)
-        image = decode_array(payload.get("image"))
+        image = self._image(payload.get("image"))
         label = _class_field(payload.get("label"), "label",
                              self.num_classes)
         target = _class_field(payload.get("target"), "target",
@@ -500,7 +519,7 @@ class ExplainService:
         raw_images = payload.get("images")
         if not isinstance(raw_images, list) or not raw_images:
             raise HttpError(400, "'images' must be a non-empty list")
-        images = [decode_array(obj) for obj in raw_images]
+        images = [self._image(obj) for obj in raw_images]
         labels = [_class_field(value, "labels", self.num_classes)
                   for value in _per_image(payload, "labels", images)]
         targets = [_class_field(value, "targets", self.num_classes)

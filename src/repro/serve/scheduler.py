@@ -279,16 +279,6 @@ class MicroBatchScheduler:
             request = self._inflight.get(family, {}).get(key)
         return request
 
-    def discard(self, request: ExplainRequest) -> bool:
-        """Drop a still-queued request (submit-failure cleanup)."""
-        queue = self._queues.get(request.queue_key)
-        if queue and request in queue:
-            queue.remove(request)
-            self._by_key[base_key(request.queue_key)].pop(request.key,
-                                                          None)
-            return True
-        return False
-
     # ------------------------------------------------------------------
     def _pop_chunk(self, queue_key: QueueKey) -> List[ExplainRequest]:
         queue = self._queues[queue_key]
@@ -303,12 +293,14 @@ class MicroBatchScheduler:
         return chunk
 
     def mark_complete(self, requests: List[ExplainRequest]) -> None:
-        """Retire completed requests from the in-flight dedup map.
+        """Retire completed (or failed) requests from the in-flight
+        dedup map.
 
         Must be called in the same critical section that resolves the
         requests' handles, so a duplicate submit either attaches before
-        resolution (and is resolved with the batch) or arrives after
-        the key left the map (and re-probes the cache).
+        resolution (and is resolved with the batch, result or error) or
+        arrives after the key left the map (and re-probes the cache, or
+        recomputes: a failure is never cached).
         """
         for request in requests:
             self._inflight.get(base_key(request.queue_key), {}).pop(
@@ -397,36 +389,6 @@ class MicroBatchScheduler:
                     return batches, expired
                 batches.append((queue_key, self._pop_chunk(queue_key)))
         return batches, expired
-
-    def requeue_front(self, queue_key: QueueKey,
-                      requests: List[ExplainRequest]
-                      ) -> List[ExplainRequest]:
-        """Put a failed batch back at the queue front for a retry.
-
-        A duplicate of a failed request may have been enqueued while the
-        batch ran; its handles are merged onto the requeued request so
-        no handle is ever split across two computations.  Returns the
-        requests that merged away (unique pending work shrank by them —
-        the engine's admission accounting needs to settle their slots).
-        """
-        queue = self._queues.setdefault(queue_key, [])
-        family = base_key(queue_key)
-        bucket = self._by_key.setdefault(family, {})
-        inflight = self._inflight.get(family, {})
-        keep = []
-        merged = []
-        for request in requests:
-            inflight.pop(request.key, None)
-            newer = bucket.get(request.key)
-            if newer is not None:
-                newer.handles.extend(request.handles)
-                self.dedup_hits += 1
-                merged.append(request)
-            else:
-                bucket[request.key] = request
-                keep.append(request)
-        queue[0:0] = keep
-        return merged
 
     # ------------------------------------------------------------------
     def pending_count(self, method: Optional[str] = None) -> int:

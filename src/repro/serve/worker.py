@@ -76,9 +76,11 @@ __all__ = ["EngineSpec", "WorkerCrashed", "WorkerBatchError",
 
 class WorkerCrashed(RuntimeError):
     """A worker process died (or the pool has none left alive): the
-    channel hit EOF mid-conversation.  The batch that observed it is
-    requeued by the engine's normal failure path, so a surviving worker
-    (or a fresh executor) can retry it."""
+    channel hit EOF mid-conversation.  The engine treats it like any
+    batch failure: a multi-request batch re-runs as halves, which land
+    on surviving workers; a lone request resolves with it (or with
+    ``EngineOverloaded`` caused by it, when no worker is left) and is
+    not re-run, since a deterministic crash would kill another worker."""
 
 
 class WorkerBatchError(RuntimeError):

@@ -79,6 +79,28 @@ class FlakyExplainer(StubExplainer):
         return super().explain_batch(images, labels, target_labels)
 
 
+class MarkerExplainer(StubExplainer):
+    """Stub whose batch raises ``ValueError`` when it holds an image
+    whose first pixel is ``MARKER`` (the bad request); otherwise each
+    map is its image's first channel.  ``batch_sizes`` records the size
+    of every batch it was called with."""
+
+    name = "marker"
+    MARKER = -1000.0
+
+    def __init__(self):
+        super().__init__()
+        self.batch_sizes = []
+
+    def explain_batch(self, images, labels, target_labels=None):
+        self.batch_sizes.append(len(images))
+        if (images[:, 0, 0, 0] == self.MARKER).any():
+            raise ValueError("marked request")
+        self.computed += len(images)
+        return [SaliencyResult(np.array(images[i, 0]), int(labels[i]))
+                for i in range(len(images))]
+
+
 class CountingClassifier:
     """Hand this to an engine in place of ``inner`` (its explainers keep
     the real model): ``rows`` records the row count of every

@@ -71,39 +71,44 @@ class TestBlockPolicy:
         assert stats["requests_served"] == 10
         assert stats["admission_blocked"] >= 1
 
-    def test_blocked_submit_raises_when_pending_work_keeps_failing(self):
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    def test_blocked_submit_makes_room_as_work_fails(self, executor):
+        # Each blocked submit dispatches the queued request, which fails
+        # and resolves, so room frees: the producer never sees
+        # EngineOverloaded, and every handle carries the backend error.
         broken = FlakyExplainer(failures=None)        # every batch fails
         engine = ExplainEngine(None, {"flaky": broken}, max_batch=8,
                                max_pending=1, policy="block",
-                               executor="serial")
-        engine.submit_async(_img(0), 0, "flaky")      # queued, not ready
-        # The second submit dispatches the queued batch to make room;
-        # the batch fails, gets one retry dispatch, and fails again —
-        # backpressure can never drain, so the failure must surface
-        # here (in the admission contract's own type, with the backend
-        # error as the cause) instead of spinning forever.
-        with pytest.raises(EngineOverloaded, match="keeps failing") as exc:
-            engine.submit_async(_img(1), 0, "flaky")
-        assert "backend failure" in str(exc.value.__cause__)
-        assert broken.calls == 2                      # retried before raise
-        assert engine.pending_count("flaky") == 1     # requeued for retry
-        with pytest.raises(RuntimeError, match="backend failure"):
-            engine.close()                            # still broken: loud
+                               executor=executor)
+        with engine:
+            handles = [engine.submit_async(_img(i), 0, "flaky")
+                       for i in range(5)]
+            engine.drain()
+            for handle in handles:
+                with pytest.raises(RuntimeError, match="backend failure"):
+                    handle.result()
+            stats = engine.stats()
+            assert broken.calls == 5                  # one per request
+            assert stats["requests_failed"] == 5
+            assert stats["admission_blocked"] == 4
+            assert stats["unresolved"] == 0
+            assert engine.pending_count() == 0
 
     def test_blocked_submit_recovers_transient_failure_via_retry(self):
         flaky = FlakyExplainer(failures=1)
         engine = ExplainEngine(None, {"flaky": flaky}, max_batch=8,
-                               max_pending=1, policy="block",
+                               max_pending=2, policy="block",
                                executor="serial")
         h1 = engine.submit_async(_img(0), 0, "flaky")
-        # The blocked submit's first dispatch fails; its own retry
-        # dispatch recovers, so the fails-once backend never surfaces
-        # as an exception to the producer.
         h2 = engine.submit_async(_img(1), 0, "flaky")
-        assert h1.done                    # resolved by the retry
+        # The blocked third submit dispatches the queued pair; it fails
+        # once, and its halves re-run and succeed, so the fails-once
+        # backend never reaches the producer.
+        h3 = engine.submit_async(_img(2), 0, "flaky")
+        assert h1.done and h2.done
         engine.drain()
-        assert h2.result().label == 0
-        assert flaky.calls == 3           # fail, retry, then h2's batch
+        assert [h.result().label for h in (h1, h2, h3)] == [0, 0, 0]
+        assert flaky.calls == 4           # the pair, its halves, then h3
 
     def test_blocked_submit_dispatches_ready_queues_before_partials(self):
         # Backpressure progress must prefer queues that are already
@@ -130,14 +135,15 @@ class TestBlockPolicy:
         engine = ExplainEngine(None,
                                {"flaky": FlakyExplainer(), "stub": StubExplainer()},
                                max_batch=1, max_pending=1, policy="block")
-        handle = engine.submit_async(_img(0), 0, "flaky")  # fails, requeues
-        engine.flush("flaky")                              # retry recovers
-        assert handle.result().label == 0
-        # The parked async failure is stale (every handle of its batch
-        # resolved via the flush retry): later submits and drain() must
-        # not re-raise recovered history as a spurious crash.
+        failed = engine.submit_async(_img(0), 0, "flaky")   # fails alone
+        with pytest.raises(RuntimeError, match="transient"):
+            failed.result()
+        # The failure is the handle's alone: a resubmit recomputes, and
+        # later submits and drain() never re-raise it.
+        retry = engine.submit_async(_img(0), 0, "flaky")
+        assert retry.result().label == 0
         other = engine.submit_async(_img(1), 0, "stub")
-        engine.drain()
+        assert engine.drain() == 3
         assert other.done
         assert engine.drain() == 0
 

@@ -159,3 +159,18 @@ class TestPerturbationEdgeCases:
                                        stride=4)
         assert explainer.explain_batch(np.zeros((0, 1, 16, 16)),
                                        np.zeros(0, dtype=np.int64)) == []
+
+    def test_occlusion_of_image_smaller_than_window(self, mock_setup):
+        """The occluder shrinks to fit: a 3x3 image under a 4-px window
+        is scored at one whole-image position instead of raising
+        ZeroDivisionError.  Zero fill drops the mock's class-1
+        probability (the mean pixel) to 0, so the map is that mean."""
+        from repro.explain.occlusion import OcclusionExplainer
+        __, __, clf = mock_setup
+        images = np.random.default_rng(0).uniform(0.2, 0.9, (2, 1, 3, 3))
+        results = OcclusionExplainer(clf, window=4, stride=4, fill=0.0) \
+            .explain_batch(images, np.ones(2, dtype=np.int64))
+        for image, result in zip(images, results):
+            np.testing.assert_allclose(result.saliency,
+                                       np.full((3, 3), image.mean()),
+                                       rtol=1e-5)

@@ -1,6 +1,6 @@
 """Tests for the HTTP/JSON service tier (``repro.serve.http``) and the
 per-tenant quota admission underneath it: wire round trips, the error
-mapping (400/401/404/429/503/504), ticket lifecycle, graceful drain,
+mapping (400/401/404/429/500/503/504), ticket lifecycle, graceful drain,
 and the ``tools/serve_daemon.py`` SIGTERM contract."""
 
 import base64
@@ -17,12 +17,14 @@ import urllib.request
 
 import numpy as np
 import pytest
-from conftest import CountingClassifier, GatedExplainer, StubExplainer
+from conftest import (CountingClassifier, GatedExplainer, MarkerExplainer,
+                      StubExplainer)
 
 from repro.serve import (ExplainEngine, RequestContext, TenantOverQuota,
                          ThreadedExecutor, demo_spec)
-from repro.serve.http import (ApiKey, ServiceConfig, decode_array,
-                              encode_array, serve)
+from repro.serve.http import (KICK_INTERVAL_S, ApiKey, ExplainService,
+                              ServiceConfig, decode_array, encode_array,
+                              serve)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -431,6 +433,8 @@ class TestHttpErrorPaths:
             {"method": "gradcam", "image": img, "deadline_ms": -1},
             {"method": "gradcam", "image": img, "mode": "zzz"},
             {"method": "gradcam", "image": img, "label": "x"},
+            {"method": "gradcam",
+             "image": encode_array(np.zeros((3, 8, 8), np.float32))},
         ]
         for payload in cases:
             status, _, _ = client("POST", "/v1/explain", payload)
@@ -514,6 +518,74 @@ class TestHttpErrorPaths:
         assert status == 400 and "'labels'" in body["error"]
         assert daemon.engine.stats()["batches_run"] == before
         assert daemon.engine.pending_count() == 0
+
+    def test_batch_with_one_wrong_channel_count_computes_nothing(self,
+                                                                stack):
+        daemon, client = stack
+        before = daemon.engine.stats()["batches_run"]
+        status, body, _ = client(
+            "POST", "/v1/batch",
+            {"method": "gradcam",
+             "images": [encode_array(_img(0, 8)),
+                        encode_array(np.zeros((3, 8, 8), np.float32))]},
+            key="k-glob")
+        assert status == 400
+        assert "3 channel(s)" in body["error"] and "takes 1" in body["error"]
+        assert daemon.engine.stats()["batches_run"] == before
+        assert daemon.engine.pending_count() == 0
+
+    def test_failed_request_500_keeps_the_method_serving(self):
+        engine = ExplainEngine(None, {"marker": MarkerExplainer()},
+                               max_batch=8,
+                               executor=ThreadedExecutor(workers=2))
+        daemon = serve(engine, port=0)
+        client = _Client(daemon.url)
+        bad = _img(0, 8)
+        bad[0, 0, 0] = MarkerExplainer.MARKER
+        try:
+            status, body, _ = client("POST", "/v1/explain",
+                                     {"method": "marker", "label": 0,
+                                      "image": encode_array(bad)})
+            assert status == 500 and "marked" in body["error"]
+            for side in (8, 16):           # its own queue, then another
+                status, body, _ = client("POST", "/v1/explain",
+                                         {"method": "marker", "label": 0,
+                                          "image": encode_array(
+                                              _img(1, side))})
+                assert status == 200
+                assert body["saliency"]["shape"] == [side, side]
+            # A /v1/batch fails when any one of its maps failed.
+            status, _, _ = client("POST", "/v1/batch",
+                                  {"method": "marker", "labels": [0, 0],
+                                   "images": [encode_array(_img(2, 8)),
+                                              encode_array(bad)]})
+            assert status == 500
+            assert engine.pending_count() == 0
+        finally:
+            daemon.drain()
+            daemon.shutdown()
+            engine.close()
+
+    def test_idle_service_runs_no_batch_after_a_failure(self):
+        # The kicker dispatches the failed request once; with nothing
+        # requeued, an idle service then runs no batch at all.
+        marker = MarkerExplainer()
+        engine = ExplainEngine(None, {"marker": marker}, max_batch=8,
+                               executor=ThreadedExecutor(workers=1))
+        service = ExplainService(engine)
+        bad = _img(0, 8)
+        bad[0, 0, 0] = MarkerExplainer.MARKER
+        try:
+            handle = engine.submit_async(bad, 0, "marker")
+            deadline = time.monotonic() + 10
+            while not marker.batch_sizes and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(20 * KICK_INTERVAL_S)
+            assert marker.batch_sizes == [1]
+            assert handle.done and engine.pending_count() == 0
+        finally:
+            service.close()
+            engine.close()
 
     def test_non_integer_batch_label_400(self, stack):
         daemon, client = stack
@@ -719,6 +791,39 @@ class TestServeDaemon:
             out, err = proc.communicate(timeout=60)
             assert proc.returncode == 0, err
             assert "STOPPED" in out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+
+
+    @pytest.mark.skipif(sys.platform == "win32",
+                        reason="POSIX signal semantics")
+    def test_failed_request_then_sigterm_exits_clean(self):
+        proc = subprocess.Popen(
+            [sys.executable, self.SCRIPT, "--port", "0",
+             "--methods", "gradcam,boom", "--executor", "threaded",
+             "--workers", "1", "--linger-s", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ,
+                 "PYTHONPATH": os.path.join(REPO_ROOT, "src")})
+        try:
+            ready = proc.stdout.readline()
+            assert ready.startswith("READY "), ready
+            client = _Client(ready.split()[1])
+            status, body, _ = client(
+                "POST", "/v1/explain",
+                {"method": "boom", "image": _img(1, side=6).tolist()})
+            assert status == 500 and "injected" in body["error"]
+            status, _, _ = client(
+                "POST", "/v1/explain",
+                {"method": "gradcam", "image": _img(1, side=6).tolist()})
+            assert status == 200
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+            assert "STOPPED" in out
+            assert "Traceback" not in err
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -1,6 +1,6 @@
 """Tests for the process-pool serving executor: spec replication,
-payload codec, serial-parity, cross-process dedup, failure/retry and
-lifecycle (worker death, clean shutdown, handle conservation)."""
+payload codec, serial-parity, cross-process dedup, failure isolation
+and lifecycle (worker death, clean shutdown, handle conservation)."""
 
 import os
 import threading
@@ -246,29 +246,28 @@ class TestProcessExecutor:
             (worker,) = executor.worker_stats()
             assert (worker["batches"], worker["maps"]) == (3, 3)
 
-    def test_remote_failure_propagates_with_cause_through_drain(self):
+    def test_remote_failure_resolves_handle_with_traceback(self):
         spec = demo_spec(("boom", "occlusion"))
         classifier, explainers = spec.materialize()
         executor = ProcessExecutor(spec, workers=1)
         engine = ExplainEngine(classifier, explainers, max_batch=1,
                                executor=executor)
         try:
-            engine.submit_async(_images(1)[0], 0, "boom")
+            handle = engine.submit_async(_images(1)[0], 0, "boom")
+            engine.drain()                   # the error is the handle's
             with pytest.raises(WorkerBatchError,
                                match="injected worker failure") as exc:
-                engine.drain()
+                handle.result()
             # The remote traceback names the real failure site, not the
             # parent-side pipe round-trip.
             assert "explain_batch" in exc.value.remote_traceback
-            # Failure contract unchanged: the batch requeued for retry,
-            # and the pool survived a batch that merely *raised*.
-            assert engine.pending_count("boom") == 1
+            # Nothing stays queued, and the pool survived a batch that
+            # merely *raised*: other methods still serve on it.
+            assert engine.pending_count("boom") == 0
             assert executor.alive_workers == 1
-            # Other methods still serve on the surviving pool.
             ok = engine.explain(_images(1)[0], 1, "occlusion")
             assert ok.label == 1
-            with pytest.raises(WorkerBatchError):
-                engine.close()               # retried, still failing: loud
+            engine.close()                   # clean
         finally:
             executor.shutdown()
 
@@ -278,35 +277,36 @@ class TestProcessExecutor:
         executor = ProcessExecutor(spec, workers=1)
         engine = ExplainEngine(classifier, explainers, max_batch=1,
                                executor=executor)
-        engine.submit_async(_images(1)[0], 0, "exit")
-        # The lone worker os._exits mid-batch: the pool has no
-        # survivors, so the failure surfaces in the engine's
-        # cannot-make-progress type with the crash as the cause.
-        with pytest.raises(EngineOverloaded) as exc:
-            engine.drain()
-        assert isinstance(exc.value.__cause__, WorkerCrashed)
+        handle = engine.submit_async(_images(1)[0], 0, "exit")
+        engine.drain()                 # the lone worker os._exits mid-batch
+        later = engine.submit_async(_images(1)[0], 1, "occlusion")
+        # close() drains cleanly, and the shutdown reaps every process:
+        # no orphans.
+        engine.close()
         assert executor.alive_workers == 0
-        # close() retries the drain once (the requeued batch hits the
-        # dead pool again), then re-raises — stranded handles are loud,
-        # and the shutdown still reaps every process: no orphans.
-        with pytest.raises(EngineOverloaded) as exc2:
-            engine.close()
-        assert isinstance(exc2.value.__cause__, WorkerCrashed)
         assert all(not c.process.is_alive() for c in executor._all)
+        assert engine.pending_count() == 0
+        # With no survivor, the request and the work behind it resolved
+        # in the engine's cannot-make-progress type, crash as the cause.
+        for pending in (handle, later):
+            with pytest.raises(EngineOverloaded) as exc:
+                pending.result()
+            assert isinstance(exc.value.__cause__, WorkerCrashed)
 
     def test_batch_failure_recovers_on_surviving_worker(self):
-        # One worker dies mid-batch; the pool keeps a survivor, so the
-        # engine's requeue-and-retry lands the *other* method's work
-        # without the producer ever seeing the crash type escalate.
+        # One worker dies mid-batch; the lone request resolves with the
+        # crash (a deterministic crash is not re-run), and the pool keeps
+        # a survivor that serves the next work.
         spec = demo_spec(("exit", "gradcam"))
         classifier, explainers = spec.materialize()
         executor = ProcessExecutor(spec, workers=2)
         engine = ExplainEngine(classifier, explainers, max_batch=1,
                                executor=executor)
         try:
-            engine.submit_async(_images(1)[0], 0, "exit")
+            handle = engine.submit_async(_images(1)[0], 0, "exit")
+            engine.drain()
             with pytest.raises(WorkerCrashed):
-                engine.drain()               # survivor remains: not Overloaded
+                handle.result()              # survivor remains: not Overloaded
             assert executor.alive_workers == 1
             result = engine.explain(_images(1)[0], 1, "gradcam")
             assert result.label == 1

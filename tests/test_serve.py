@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import CountingClassifier, StubExplainer
+from conftest import CountingClassifier, FlakyExplainer, StubExplainer
 
 from repro.explain import GradCAMExplainer, OcclusionExplainer
 from repro.serve import ExplainEngine, SaliencyCache, request_key
@@ -157,32 +157,42 @@ class TestExplainEngine:
         with pytest.raises(KeyError):
             engine.explain(images[0], int(labels[0]), "nope")
 
-    def test_failed_batch_stays_queued_for_retry(self, tiny_classifier,
-                                                 sample):
-        """A raising explain_batch surfaces its error from the flush and
-        leaves the requests queued, so a retry can still resolve them."""
-        from repro.explain.base import Explainer, SaliencyResult
-
-        class Flaky(Explainer):
-            name = "flaky"
-            calls = 0
-
-            def explain_batch(self, images, labels, target_labels=None):
-                Flaky.calls += 1
-                if Flaky.calls == 1:
-                    raise RuntimeError("transient backend failure")
-                return [SaliencyResult(np.zeros(images.shape[2:]), int(y))
-                        for y in labels]
-
+    def test_failed_request_resolves_with_its_error(self, tiny_classifier,
+                                                    sample):
+        """A raising explain_batch resolves the request's handle with the
+        error and leaves nothing queued; the failure is not cached, so a
+        resubmit computes again."""
+        flaky = FlakyExplainer()
         images, labels = sample
-        engine = ExplainEngine(tiny_classifier, {"flaky": Flaky()},
+        engine = ExplainEngine(tiny_classifier, {"flaky": flaky},
                                max_batch=4)
         handle = engine.submit(images[0], int(labels[0]), "flaky")
         with pytest.raises(RuntimeError, match="transient"):
             handle.result()
-        assert engine.pending_count("flaky") == 1
-        assert handle.result().label == int(labels[0])   # retry succeeds
+        assert handle.done
         assert engine.pending_count("flaky") == 0
+        with pytest.raises(RuntimeError, match="transient"):
+            handle.result()                  # resolved: no second compute
+        assert flaky.calls == 1
+        again = engine.submit(images[0], int(labels[0]), "flaky")
+        assert again.result().label == int(labels[0])
+        assert flaky.calls == 2
+        assert engine.stats()["requests_failed"] == 1
+
+    def test_occlusion_of_image_smaller_than_window(self, engine, sample):
+        """Two 1x3x3 occlusion requests (window 4) return finite 3x3
+        maps, and the method then serves a full-size image."""
+        images, labels = sample
+        rng = np.random.default_rng(0)
+        for _ in range(2):
+            small = engine.explain(
+                rng.standard_normal((1, 3, 3)).astype(np.float32), 0,
+                "occlusion")
+            assert small.saliency.shape == (3, 3)
+            assert np.isfinite(small.saliency).all()
+        full = engine.explain(images[0], int(labels[0]), "occlusion")
+        assert full.saliency.shape == images[0].shape[1:]
+        assert engine.pending_count() == 0
 
     def test_submit_copies_image_buffer(self, engine, tiny_classifier,
                                         sample):

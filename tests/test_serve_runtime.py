@@ -3,16 +3,19 @@ cache shards, scheduler dedup fan-out, executors, heterogeneous-shape
 queues, and the thread-safety substrate they rely on."""
 
 import threading
+import time
 import zlib
 
 import numpy as np
 import pytest
-from conftest import FlakyExplainer, GatedExplainer, StubExplainer
+from conftest import (FlakyExplainer, GatedExplainer, MarkerExplainer,
+                      StubExplainer)
 
 from repro import nn
 from repro.explain import GradCAMExplainer, OcclusionExplainer
 from repro.explain.base import Explainer, SaliencyResult
-from repro.serve import (ExplainEngine, SaliencyCache, SerialExecutor,
+from repro.serve import (DeadlineExceeded, ExplainEngine, RequestContext,
+                         SaliencyCache, SerialExecutor,
                          ShardedSaliencyCache, ThreadedExecutor,
                          image_digest, make_executor, request_key)
 
@@ -350,31 +353,21 @@ class TestExecutors:
             assert h2.result().label == int(labels[1])
             assert engine.pending_count() == 0
 
-    def test_async_failure_requeues_for_retry(self, tiny_classifier,
-                                              sample):
-        class Flaky(Explainer):
-            name = "flaky"
-
-            def __init__(self):
-                self.calls = 0
-
-            def explain_batch(self, images, labels, target_labels=None):
-                self.calls += 1
-                if self.calls == 1:
-                    raise RuntimeError("transient backend failure")
-                return [SaliencyResult(np.zeros(images.shape[2:]), int(y))
-                        for y in labels]
-
+    def test_async_transient_failure_recovers_by_bisection(
+            self, tiny_classifier, sample):
+        flaky = FlakyExplainer()
         images, labels = sample
-        with ExplainEngine(tiny_classifier, {"flaky": Flaky()},
+        with ExplainEngine(tiny_classifier, {"flaky": flaky},
                            max_batch=2, executor="threaded") as engine:
-            engine.submit_async(images[0], int(labels[0]), "flaky")
+            first = engine.submit_async(images[0], int(labels[0]), "flaky")
             handle = engine.submit_async(images[1], int(labels[1]), "flaky")
-            with pytest.raises(RuntimeError, match="transient"):
-                engine.drain()
-            assert engine.pending_count("flaky") == 2    # requeued
-            assert engine.drain() == 2                   # retry succeeds
+            # The failed pair re-runs as two halves, which succeed:
+            # nothing raises and nothing is left queued.
+            assert engine.drain() == 2
+            assert flaky.calls == 3
+            assert first.result().label == int(labels[0])
             assert handle.result().label == int(labels[1])
+            assert engine.pending_count("flaky") == 0
 
     def test_drain_empty_engine_is_noop(self, engine):
         assert engine.drain() == 0
@@ -409,40 +402,219 @@ class TestEngineLifecycle:
         assert handle.done
         assert handle.result().label == 0
 
-    def test_close_retries_once_then_raises_on_persistent_failure(self):
+    def test_close_is_clean_after_persistent_failure(self):
         broken = FlakyExplainer(failures=None)     # every batch fails
         engine = ExplainEngine(None, {"broken": broken}, max_batch=8)
-        engine.submit_async(_img(0), 0, "broken")
+        handle = engine.submit_async(_img(0), 0, "broken")
+        engine.close()                     # the error is the handle's
+        assert broken.calls == 1           # a lone request never re-runs
         with pytest.raises(RuntimeError, match="backend failure"):
-            engine.close()
-        assert broken.calls == 2               # initial drain + one retry
-        engine.close()                         # idempotent: no re-drain
-        assert broken.calls == 2
+            handle.result()
+        engine.close()                     # idempotent: no re-drain
+        assert broken.calls == 1
 
     def test_close_after_transient_failure_resolves_on_retry(self):
-        engine = ExplainEngine(None, {"flaky": FlakyExplainer()}, max_batch=8)
-        handle = engine.submit_async(_img(0), 0, "flaky")
-        engine.close()                         # retry drain resolves it
-        assert handle.result().label == 0
+        flaky = FlakyExplainer()
+        engine = ExplainEngine(None, {"flaky": flaky}, max_batch=8)
+        handles = [engine.submit_async(_img(i), 0, "flaky")
+                   for i in range(2)]
+        engine.close()                     # the halves re-run and succeed
+        assert [h.result().label for h in handles] == [0, 0]
+        assert flaky.calls == 3
 
 
 class TestDrainAccounting:
     def test_retry_drain_reports_banked_successes(self):
-        """A drain that re-raises must bank the handle counts of the
-        batches that *did* resolve, so drain-after-retry reports the
-        true total instead of losing them."""
+        """drain() counts every handle resolved since the last drain,
+        failed ones included: counts banked when a later dispatch
+        pruned settled futures are paid out, and nothing re-raises."""
         engine = ExplainEngine(None,
                                {"good": StubExplainer(),
                                 "flaky": FlakyExplainer()},
                                max_batch=1)
         engine.submit_async(_img(0), 0, "good")     # dispatches, succeeds
-        engine.submit_async(_img(1), 0, "flaky")    # dispatches, fails
+        failed = engine.submit_async(_img(1), 0, "flaky")   # fails alone
+        engine.submit_async(_img(2), 0, "good")     # prunes and banks both
+        assert engine.drain() == 3
         with pytest.raises(RuntimeError, match="transient"):
+            failed.result()
+        # A failure is never cached: the retry computes, and its drain
+        # reports it.
+        retry = engine.submit_async(_img(1), 0, "flaky")
+        assert engine.drain() == 1
+        assert retry.result().label == 0
+        stats = engine.stats()
+        assert (stats["requests_served"], stats["requests_failed"]) == (3, 1)
+
+
+class TestFailureIsolation:
+    """A batch that raises is re-run as two halves, down to single
+    requests: a bad request fails only its own handles, nothing is
+    requeued, and every admitted request ends served, failed or
+    expired."""
+
+    @staticmethod
+    def _images(n: int, side: int = 4) -> np.ndarray:
+        return np.random.default_rng(side).standard_normal(
+            (n, 1, side, side)).astype(np.float32)
+
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    def test_one_bad_request_in_a_batch_fails_only_itself(self, executor):
+        images = self._images(8)
+        clean = MarkerExplainer().explain_batch(images,
+                                                np.zeros(8, np.int64))
+        images[5, 0, 0, 0] = MarkerExplainer.MARKER
+        marker = MarkerExplainer()
+        with ExplainEngine(None, {"marker": marker}, max_batch=8,
+                           executor=executor) as engine:
+            handles = [engine.submit_async(image, 0, "marker")
+                       for image in images]
+            assert engine.drain() == 8
+            for i, handle in enumerate(handles):
+                if i == 5:
+                    with pytest.raises(ValueError, match="marked"):
+                        handle.result()
+                else:
+                    np.testing.assert_array_equal(handle.result().saliency,
+                                                  clean[i].saliency)
+            # The failed 8, the good half, the bad half, and so on down
+            # to the bad request alone.
+            assert marker.batch_sizes == [8, 4, 4, 2, 1, 1, 2]
+            stats = engine.stats()
+            assert engine.pending_count() == 0
+            assert stats["unresolved"] == 0
+            assert stats["pending_handles"] == 0
+            assert stats["requests_served"] == 7
+            assert stats["requests_failed"] == 1
+
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    def test_fails_once_batch_resolves_every_request(self, executor):
+        flaky = FlakyExplainer()
+        with ExplainEngine(None, {"flaky": flaky}, max_batch=4,
+                           executor=executor) as engine:
+            handles = [engine.submit_async(_img(i), 0, "flaky")
+                       for i in range(4)]
+            assert engine.drain() == 4
+            assert [h.result().label for h in handles] == [0] * 4
+            assert flaky.calls == 3
+            assert engine.stats()["requests_failed"] == 0
+
+    @pytest.mark.parametrize("entry",
+                             ["submit", "submit_async", "explain_batch"])
+    def test_later_requests_of_the_method_still_serve(self, entry):
+        engine = ExplainEngine(None, {"marker": MarkerExplainer()},
+                               max_batch=8, executor="threaded")
+
+        def run(images):
+            if entry == "explain_batch":
+                return engine.explain_batch(np.stack(images),
+                                            np.zeros(len(images), np.int64),
+                                            "marker")
+            submit = getattr(engine, entry)
+            handles = [submit(image, 0, "marker") for image in images]
+            return [handle.result() for handle in handles]
+
+        bad = self._images(1)[0]
+        bad[0, 0, 0] = MarkerExplainer.MARKER
+        with pytest.raises(ValueError, match="marked"):
+            run([bad])
+        for side in (4, 8):                # its own shape, then another
+            images = list(self._images(2, side))
+            for image, result in zip(images, run(images)):
+                np.testing.assert_array_equal(result.saliency, image[0])
+        assert engine.pending_count() == 0
+        engine.close()                     # clean: nothing re-raises
+
+    def test_interrupt_propagates_from_flush_and_leaves_nothing_pending(self):
+        class Interrupting(StubExplainer):
+            def explain_batch(self, images, labels, target_labels=None):
+                raise KeyboardInterrupt
+
+        engine = ExplainEngine(None, {"stub": Interrupting()}, max_batch=8)
+        handle = engine.submit(_img(0), 0, "stub")
+        raised = []
+
+        def flush():
+            try:
+                engine.flush()
+            except KeyboardInterrupt:
+                raised.append(True)
+
+        # In a thread, so a hang fails the test instead of the suite.
+        thread = threading.Thread(target=flush, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and raised == [True]
+        assert handle.done
+        with pytest.raises(KeyboardInterrupt):
+            handle.result()
+        stats = engine.stats()
+        assert engine.pending_count() == 0
+        assert stats["pending_handles"] == 0
+        assert stats["requests_failed"] == 1
+        engine.close()
+
+
+class TestTerminalStateAccounting:
+    def test_every_returned_handle_is_served_failed_or_expired(self):
+        """Globally and per tenant, served + failed + expired equals the
+        handles the submits returned, over a mixed run: good and failing
+        requests, dedup attaches onto both, expiry at admission and in
+        the queue, and cache hits."""
+        images = np.random.default_rng(5).standard_normal(
+            (6, 1, 4, 4)).astype(np.float32)
+        bad = images[5].copy()
+        bad[0, 0, 0] = MarkerExplainer.MARKER
+        tenants = ("acme", "globex", None)
+        handles = {tenant: [] for tenant in tenants}
+        engine = ExplainEngine(None, {"marker": MarkerExplainer()},
+                               max_batch=16, executor="threaded")
+
+        def submit(tenant, image, deadline_ms=None):
+            ctx = (RequestContext(tenant=tenant) if deadline_ms is None
+                   else RequestContext.with_timeout(deadline_ms,
+                                                    tenant=tenant))
+            handles[tenant].append(
+                engine.submit_async(image, 0, "marker", ctx=ctx))
+
+        with engine:
+            for i, tenant in enumerate(tenants):
+                submit(tenant, images[0])          # shared: dedup attaches
+                submit(tenant, images[1 + i])
+                submit(tenant, bad)                # dedup onto a failure
+                submit(tenant, images[4] + i, deadline_ms=30.0)
+            time.sleep(0.06)                       # queued ones expire
+            # Dead on arrival: expires at admission, never queued.
+            submit("acme", images[4] + 9, deadline_ms=1e-3)
             engine.drain()
-        # The successful batch's count was banked, not discarded: the
-        # retry drain reports both handles.
-        assert engine.drain() == 2
-        assert engine.stats()["requests_served"] == 2
+            for tenant in tenants:
+                submit(tenant, images[0])          # cache hits
+            engine.drain()
+            stats = engine.stats()
+
+        def tally(group):
+            served = failed = expired = 0
+            for handle in group:
+                assert handle.done
+                try:
+                    handle.result()
+                    served += 1
+                except DeadlineExceeded:
+                    expired += 1
+                except ValueError:
+                    failed += 1
+            return served, failed, expired
+
+        total = tally([h for group in handles.values() for h in group])
+        assert total == (9, 3, 4)
+        assert (stats["requests_served"], stats["requests_failed"],
+                stats["deadline_expired"]) == total
+        for tenant in ("acme", "globex"):
+            counts = stats["tenants"][tenant]
+            assert (counts["served"], counts["requests_failed"],
+                    counts["deadline_expired"]) == tally(handles[tenant])
+        assert stats["unresolved"] == 0
+        assert stats["pending_handles"] == 0
 
 
 class TestPendingHandleConservation:

@@ -27,6 +27,7 @@ from repro.serve.transport import ShmArena, segment_base
 from repro.serve.worker import decode_results, worker_main
 
 from test_explain_batch import assert_saliency_close
+from transport_spec_util import CrashOnMarker
 
 _HAVE_DEV_SHM = os.path.isdir("/dev/shm")
 
@@ -283,26 +284,36 @@ class TestEngineTransport:
 
 class TestCrashHygiene:
     def test_crash_mid_batch_retries_on_survivor_and_unlinks(self):
-        spec = demo_spec(("exit", "gradcam"))
-        classifier, explainers = spec.materialize()
-        executor = ProcessExecutor(spec, workers=2)
+        # A batch of [bad, good] kills its worker; the engine re-runs it
+        # as halves on the survivors.  The bad half kills a second
+        # worker and fails alone; the good half is served by the third.
+        crasher = CrashOnMarker()
+        spec = EngineSpec("transport_spec_util:prebuilt",
+                          kwargs={"explainers": {"crash": crasher}})
+        _, explainers = spec.materialize()
+        executor = ProcessExecutor(spec, workers=3)
         prefixes = _arena_prefixes(executor)
-        engine = ExplainEngine(classifier, explainers, max_batch=1,
+        engine = ExplainEngine(None, explainers, max_batch=2,
                                executor=executor)
         try:
-            engine.submit_async(_images(1)[0], 0, "exit")
+            bad, good = _images(2)
+            bad[0, 0, 0] = CrashOnMarker.MARKER
+            handles = [engine.submit_async(image, 0, "crash")
+                       for image in (bad, good)]
+            assert engine.drain() == 2
             with pytest.raises(WorkerCrashed):
-                engine.drain()             # survivor remains: not Overloaded
+                handles[0].result()      # a survivor remains: not Overloaded
+            np.testing.assert_array_equal(handles[1].result().saliency,
+                                          good[0])
             assert executor.alive_workers == 1
-            # The dead channel was reaped: its arena segments are gone
-            # while the survivor's stay live.
+            # The dead channels were reaped: their arena segments are
+            # gone while the survivor's stay live.
             if _HAVE_DEV_SHM:
                 dead = [c for c in executor._all if c.dead]
-                assert len(dead) == 1 and dead[0].reaped
-                assert not _segments(dead[0].arena.prefix)
-            # The engine's requeue-and-retry lands new work on the
-            # surviving worker, still over shared memory.
-            result = engine.explain(_images(1)[0], 1, "gradcam")
+                assert len(dead) == 2 and all(c.reaped for c in dead)
+                assert not any(_segments(c.arena.prefix) for c in dead)
+            # New work still lands on the survivor over shared memory.
+            result = engine.explain(_images(1)[0], 1, "crash")
             assert result.label == 1
             assert executor.transport_stats()["shm_batches"] >= 1
         finally:
