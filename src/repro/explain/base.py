@@ -16,7 +16,7 @@ suite asserts for every registered method.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
@@ -93,6 +93,15 @@ class Explainer:
     #: loops, ICAM's manifold search) stay ineligible and always run on
     #: the tape.
     plan_eligible = False
+
+    @property
+    def plan_key(self) -> Hashable:
+        """What names this method's traced core in a plan cache, beside
+        the batch shape and dtype.  Explainers whose :meth:`compile_plan`
+        traces the same computation return equal keys, so they compile
+        and replay one plan; the default, :attr:`name`, shares with no
+        other method."""
+        return self.name
 
     def compile_plan(self, images: np.ndarray, labels: np.ndarray):
         """Trace this method's hot path into an ExecutionPlan for the

@@ -52,6 +52,13 @@ class FullGradExplainer(Explainer):
         self.classifier = classifier
         self.normalize = normalize
 
+    @property
+    def plan_key(self):
+        """All three FullGrad methods trace one core per classifier (the
+        forward with gradients at the input and every stage) and differ
+        only after replay, so they share its plan."""
+        return ("fullgrad", self.classifier)
+
     def _aggregate(self, images: np.ndarray, x_grad: np.ndarray,
                    feat_pairs) -> np.ndarray:
         """Combine input and stage terms; shared by tape and plan paths.

@@ -36,8 +36,15 @@ trace needs op metadata, not closures) and hands the recorded program to
    chain like batch-norm's ``(x - mu) / std * w + b`` runs in one
    buffer with in-place ufuncs.
 5. **arena allocation** — one persistent ndarray per surviving slot
-   (plus gradient and conv-scratch buffers); ``arena_bytes`` totals
-   them.
+   and gradient, plus one step-scratch region per plan: the buffers a
+   single step fills and reads (conv patch matrices, conv-VJP gradient
+   windows, elementwise temporaries) are views into it, sized for the
+   largest step.  ``arena_bytes`` totals the persistent buffers and
+   counts the region once.
+
+Once compiled, a plan holds nothing of its trace: the recorded forward
+values and tensors are released, and const folds keep only their own
+arrays.
 
 Shape/dtype mismatches at replay raise :class:`PlanMismatch`; primitives
 with no compiled kernel raise :class:`PlanUnsupported` at trace/compile
@@ -102,16 +109,18 @@ class _Op:
 class Tracer:
     """Records one instrumented forward pass into slots + op records.
 
-    Strong references are kept to every traced Tensor (``_keepalive``):
-    CPython reuses ``id()`` after garbage collection, so letting interim
-    tensors die mid-trace would alias distinct values onto one slot.
+    Strong references are kept to every traced Tensor (``_keepalive``)
+    while tracing: CPython reuses ``id()`` after garbage collection, so
+    letting interim tensors die mid-trace would alias distinct values
+    onto one slot.  The compiled plan keeps none of them.
     """
 
     def __init__(self):
         self.slots: List[_Slot] = []
         self.records: List[_Op] = []
         self._by_id: Dict[int, _Slot] = {}
-        self._aux_arrays: Dict[int, _Slot] = {}
+        #: id -> (array, slot) of every aux input
+        self._aux_arrays: Dict[int, Tuple[np.ndarray, _Slot]] = {}
         self._keepalive: list = []
         self.inputs: Dict[str, _Slot] = {}
         self.outputs: Dict[str, _Slot] = {}
@@ -134,13 +143,21 @@ class Tracer:
     def aux_input(self, name: str, array: np.ndarray) -> np.ndarray:
         """Declare a replayable *raw ndarray* input consumed through op
         metadata (e.g. the label vector of ``class_score_sum``).  Feed
-        the returned array — it is identity-matched during recording."""
+        the returned array — it is identity-matched during recording.
+
+        Only op metadata may read it.  An array the computation uses as
+        a tensor (wrapped in ``Tensor`` for arithmetic) must be declared
+        with :meth:`input`: the plan bakes every tensor not declared, so
+        replay would use the trace batch's value.  Tracing raises
+        :class:`PlanUnsupported` for a tensor that shares memory with an
+        aux array; a converted copy (``Tensor`` casts integer arrays to
+        float) cannot be told from any other constant.
+        """
         arr = np.ascontiguousarray(array)
         slot = self._new_slot(arr.shape, arr.dtype, "input")
         slot.name = name
         self.inputs[name] = slot
-        self._aux_arrays[id(arr)] = slot
-        self._keepalive.append(arr)
+        self._aux_arrays[id(arr)] = (arr, slot)
         return arr
 
     def output(self, name: str, tensor: Tensor) -> None:
@@ -174,7 +191,8 @@ class Tracer:
         # references (replay-swappable); anything else stays baked.
         for key, value in list(rec.meta.items()):
             if isinstance(value, np.ndarray):
-                rec.meta[key + "_slot"] = self._aux_arrays.get(id(value))
+                aux = self._aux_arrays.get(id(value))
+                rec.meta[key + "_slot"] = None if aux is None else aux[1]
 
     # -- internals -----------------------------------------------------
     def _new_slot(self, shape, dtype, kind) -> _Slot:
@@ -187,7 +205,14 @@ class Tracer:
         if slot is None:
             # A tensor created outside the trace (weight, bias, constant
             # built by a layer): a const leaf referencing its data
-            # zero-copy, so in-place parameter updates propagate.
+            # zero-copy, so in-place parameter updates propagate.  An
+            # aux input must never become one: replay would ignore it.
+            for arr, aux in self._aux_arrays.values():
+                if np.may_share_memory(t.data, arr):
+                    raise PlanUnsupported(
+                        f"aux input {aux.name!r} is used as a tensor; "
+                        "declare it with tracer.input so replay feeds "
+                        "it instead of baking the trace batch's value")
             slot = self._new_slot(t.shape, t.dtype, "const")
             slot.array = t.data
             self._by_id[id(t)] = slot
@@ -228,6 +253,41 @@ _FUSABLE = frozenset({
 _VIEW_OPS = frozenset({"reshape", "transpose", "getitem"})
 
 
+#: Byte alignment of a buffer placed past the start of the scratch
+#: region.
+_ALIGN = 64
+
+
+def _nbytes(shape, dtype) -> int:
+    return int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
+def _conv_cols_shape(rec: "_Op") -> Tuple[int, ...]:
+    """A traced conv's forward patch matrix: ``(n, c*k*k, oh*ow)``."""
+    n, c = rec.ins[0].shape[:2]
+    k = rec.ins[1].shape[2]
+    return (n, c * k * k, rec.out.shape[2] * rec.out.shape[3])
+
+
+def _conv_dx_scratch_shapes(rec: "_Op"):
+    """The scratch of a traced conv's input-gradient step: the window
+    matrix, then the add-mode temporary placed past it.  The temporary
+    is ``None`` on the matmul + col2im fallback, which takes geometries
+    the dilated gather cannot (crop padding, or input rows the
+    forward's floor dropped)."""
+    n, c, h, wd = rec.ins[0].shape
+    c_out, _, k, _ = rec.ins[1].shape
+    stride, padding = rec.meta["stride"], rec.meta["padding"]
+    if (k - 1 - padding < 0 or (h + 2 * padding - k) % stride
+            or (wd + 2 * padding - k) % stride):
+        return _conv_cols_shape(rec), None
+    return (n, c_out * k * k, h * wd), (n, c, h * wd)
+
+
 def _is_basic_index(index) -> bool:
     items = index if isinstance(index, tuple) else (index,)
     return all(isinstance(it, (int, np.integer, slice, type(None),
@@ -249,15 +309,21 @@ class ExecutionPlan:
         self.outputs = tracer.outputs
         self.grad_outputs = tracer.grad_outputs
         self.loss_slot = tracer.loss_slot
-        self._records = tracer.records
-        self._keepalive = tracer._keepalive
         self.arena_bytes = 0
         self.folded_ops = 0
         self.pruned_ops = 0
         self.fused_slots = 0
         self._steps: List[Callable[[], None]] = []
         self._grad_buffers: Dict[_Slot, np.ndarray] = {}
-        self._compile()
+        self._records: List[_Op] = []
+        self._needs: set = set()
+        self._scratch_region = np.empty(0, dtype=np.uint8)
+        self._compile(tracer.records)
+        # Free the trace.  Several step closures hold their record, so
+        # the traced values are cleared rather than the list dropped;
+        # const folds keep their arrays through ``slot.array``.
+        for rec in tracer.records:
+            rec.out_data = None
 
     # -- compilation ---------------------------------------------------
     def _alloc(self, shape, dtype) -> np.ndarray:
@@ -265,9 +331,18 @@ class ExecutionPlan:
         self.arena_bytes += buf.nbytes
         return buf
 
-    def _compile(self) -> None:
-        records = self._records
+    def _scratch(self, shape, dtype, offset: int = 0) -> np.ndarray:
+        """A buffer that one step fills and reads before any other step
+        runs: a view of the plan's shared step-scratch region at byte
+        ``offset``, so its contents never outlive the step.  A request
+        the region was not sized for gets a private buffer instead."""
+        nbytes = _nbytes(shape, dtype)
+        if offset + nbytes > self._scratch_region.nbytes:
+            return self._alloc(shape, dtype)
+        return self._scratch_region[offset:offset + nbytes].view(
+            dtype).reshape(shape)
 
+    def _compile(self, records: List[_Op]) -> None:
         # 1. const folding: ops with all-const inputs bake their traced
         # value (a zero-copy view of parameter data for pure view ops).
         live_records: List[_Op] = []
@@ -318,6 +393,7 @@ class ExecutionPlan:
             backward_recs = [rec for rec in records
                              if rec.out in needs
                              and any(s in needs for s in rec.ins)]
+        self._needs = needs
 
         # 4. value-needed analysis feeding the fusion pass: a slot whose
         # forward value any VJP (or the caller) reads must keep its own
@@ -372,6 +448,24 @@ class ExecutionPlan:
                 # advanced indexing): fall back to a buffer + copy step.
                 rec.out.array = view if view is not None \
                     else self._alloc(rec.out.shape, rec.out.dtype)
+
+        # 5c. the step-scratch region, sized for the largest step that
+        # uses it (see _scratch; an undersized region costs memory, never
+        # correctness).
+        sizes = [0]
+        for rec in records:
+            if rec.op == "conv2d" and rec.ins[1] not in needs:
+                sizes.append(_nbytes(_conv_cols_shape(rec), rec.out.dtype))
+            elif rec.op == "leaky_relu":
+                sizes.append(_nbytes(rec.out.shape, rec.out.dtype))
+        for rec in backward_recs:
+            if rec.op == "conv2d" and rec.ins[0] in needs:
+                win, tmp = _conv_dx_scratch_shapes(rec)
+                size = _nbytes(win, rec.out.dtype)
+                if tmp is not None:
+                    size = _aligned(size) + _nbytes(tmp, rec.out.dtype)
+                sizes.append(size)
+        self._scratch_region = self._alloc(max(sizes), np.uint8)
 
         # 6. forward steps.
         for rec in records:
@@ -576,7 +670,7 @@ def _fw_leaky_relu(rec, plan):
     if 0.0 < slope < 1.0:
         # max(x, slope*x) == leaky-relu for slopes in (0, 1); two
         # in-place ufuncs, one scratch.
-        tmp = plan._alloc(rec.out.shape, rec.out.dtype)
+        tmp = plan._scratch(rec.out.shape, rec.out.dtype)
 
         def step():
             np.multiply(a, slope, out=tmp)
@@ -726,14 +820,12 @@ def _fw_class_score_sum(rec, plan):
 
 
 def _fw_conv2d(rec, plan):
-    from .functional import _conv_output_size
     x, w = rec.ins[0], rec.ins[1]
     bias = rec.ins[2] if len(rec.ins) == 3 else None
     stride, padding = rec.meta["stride"], rec.meta["padding"]
     n, c, h, wd = x.shape
     c_out, _, k, _ = w.shape
-    oh = _conv_output_size(h, k, stride, padding)
-    ow = _conv_output_size(wd, k, stride, padding)
+    oh, ow = rec.out.shape[2:]
 
     w2d = w.array.reshape(c_out, -1)
     if not np.may_share_memory(w2d, w.array):
@@ -752,7 +844,10 @@ def _fw_conv2d(rec, plan):
         src, shape=(n, c, oh, ow, k, k),
         strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
         writeable=False).transpose(0, 1, 4, 5, 2, 3)
-    cols = plan._alloc((n, c * k * k, oh * ow), x.dtype)
+    # The weight VJP reads cols again in the backward sweep: only a conv
+    # whose weight gradient is not needed may put them in step scratch.
+    cols = (plan._alloc if w in plan._needs else plan._scratch)(
+        _conv_cols_shape(rec), x.dtype)
     cols6 = cols.reshape(n, c, k, k, oh, ow)
     o = rec.out.array
     o3 = o.reshape(n, c_out, oh * ow)
@@ -1149,12 +1244,11 @@ def _vjp_conv2d(rec, plan):
         target = plan._grad_buffers[x]
         oh, ow = rec.out.shape[2], rec.out.shape[3]
         pad2 = k - 1 - padding
-        exact = ((h + 2 * padding - k) % stride == 0
-                 and (wd + 2 * padding - k) % stride == 0)
-        if pad2 < 0 or not exact:
+        win_shape, tmp_shape = _conv_dx_scratch_shapes(rec)
+        if tmp_shape is None:
             # Geometry the dilated-correlation path can't cover (crop
             # padding, or floor-dropped input rows): matmul + scatter.
-            gcols = plan._alloc(cols.shape, cols.dtype)
+            gcols = plan._scratch(win_shape, g.dtype)
             w2dT = w2d.T
 
             def step():
@@ -1170,9 +1264,10 @@ def _vjp_conv2d(rec, plan):
         # zero-dilated output gradient with spatially-flipped weights —
         # a contiguous window gather + one GEMM instead of col2im's
         # k*k strided scatter-adds (~1.8x on the 3x3/stride-1 convs
-        # that dominate FullGrad's backward).  All buffers persist in
-        # the arena; only the dilation interior is rewritten per replay,
-        # so the zero gaps and border are baked once here.
+        # that dominate FullGrad's backward).  The dilated gradient
+        # persists in the arena: only its interior is rewritten per
+        # replay, so the zero gaps and border are baked once here.  The
+        # windows and the add-mode temporary are step scratch.
         dil_h, dil_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
         gpad = plan._alloc((n, c_out, dil_h + 2 * pad2, dil_w + 2 * pad2),
                            g.dtype)
@@ -1183,7 +1278,7 @@ def _vjp_conv2d(rec, plan):
         win = np.lib.stride_tricks.as_strided(
             gpad, shape=(n, c_out, k, k, h, wd),
             strides=(s0, s1, s2, s3, s2, s3))
-        gwin = plan._alloc((n, c_out * k * k, h * wd), g.dtype)
+        gwin = plan._scratch(win_shape, g.dtype)
         gwin6 = gwin.reshape(n, c_out, k, k, h, wd)
         g4 = g.reshape(n, c_out, oh, ow)
         warr = w.array
@@ -1204,7 +1299,8 @@ def _vjp_conv2d(rec, plan):
                 np.matmul(flipped(), gwin, out=gx_out)
             return step
 
-        tmp = plan._alloc((n, c, h * wd), g.dtype)
+        tmp = plan._scratch(tmp_shape, g.dtype,
+                            offset=_aligned(gwin.nbytes))
 
         def step():
             interior[...] = g4

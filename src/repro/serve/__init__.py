@@ -48,10 +48,15 @@ The package splits the serving layer into four pieces:
   nothing).
 * :mod:`~repro.serve.plans` — :class:`PlanCache`: compiled execution
   plans for the shape-repetitive hot path.  The first batch of a
-  plan-eligible method on a new ``(method, batch_shape, dtype)`` key is
-  traced through :mod:`repro.nn.plan` into a buffer-arena plan; every
+  plan-eligible method on a new ``(plan_key, batch_shape, dtype)`` key
+  is traced through :mod:`repro.nn.plan` into a buffer-arena plan; every
   later batch of that key **replays** tape-free (no Tensor objects, no
-  closures, ``out=`` into preallocated buffers).  Plans invalidate on
+  closures, ``out=`` into preallocated buffers).  ``plan_key`` names the
+  traced core, so FullGrad, Simple FullGrad and Smooth FullGrad share
+  one plan.  A plan's arena is its persistent buffers plus one
+  step-scratch region that every step's temporaries share, and the
+  trace is freed once the plan compiles.  Replays of one plan run one
+  at a time (a per-key lock).  Plans invalidate on
   ``nn.set_default_dtype`` (all entries dropped) and revalidate their
   compile-time ``nn.frozen`` fingerprint on each lookup (a persisting
   frozen-set change falls back to the tape until it reverts).

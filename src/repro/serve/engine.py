@@ -582,11 +582,12 @@ class ExplainEngine:
                 # priorities and shrinks the adaptive batch limit under
                 # load.
                 start = time.perf_counter()
-                # Replay when a plan exists for this (method, shape,
+                # Replay when a plan exists for this (plan_key, shape,
                 # dtype) key, compile on first sight (billed to this
                 # batch — an honest cost), tape otherwise.  The cache
-                # applies the needs_gradients/no_grad contract to tape
-                # runs.
+                # serializes replays of one plan (methods may share it)
+                # and applies the needs_gradients/no_grad contract to
+                # tape runs.
                 results = self._plan_cache.run(explainer, images, labels,
                                                targets)
                 batch_ms = (time.perf_counter() - start) * 1000.0
@@ -788,50 +789,79 @@ class ExplainEngine:
                 self._scheduler.mark_complete(requests)
                 return len(requests[0].handles)
 
-    def _launch(self, future: Future, queue_key: QueueKey,
-                requests: List[ExplainRequest]) -> None:
-        """Hand one prepared batch to the executor.
+    def _launch(self, prepared) -> None:
+        """Hand prepared batches to the executor.
 
-        The batch's future was assigned at pop time (so ``result()`` on
+        Each batch's future was assigned at pop time (so ``result()`` on
         another thread can wait on it) and is cleared on completion.  It
         completes with the number of handles resolved; request failures
         stay on their handles (:meth:`_run_isolated`).  Only an
         interrupt (a ``BaseException`` that is not an ``Exception``) is
         set on it, after resolving every still-unresolved handle, so it
         propagates from ``flush()`` and leaves nothing pending.
-        """
 
-        def run() -> None:
-            if not future.set_running_or_notify_cancel():
+        A batch the executor ran inline (``SerialExecutor``) is done
+        when ``submit`` returns, and nothing on the async path waits for
+        its future: its interrupt re-raises here at once, after the
+        batches not yet launched resolve with it too.
+        """
+        caller = threading.get_ident()
+        for i, (future, queue_key, requests) in enumerate(prepared):
+            ran_on: List[int] = []
+            with self._lock:
+                self._dispatching += 1
+            self._executor.submit(self._run_launched, future, queue_key,
+                                  requests, ran_on)
+            if ran_on == [caller] and future.exception() is not None:
+                exc = future.exception()
+                for later, _, later_requests in prepared[i + 1:]:
+                    self._interrupt_batch(later, later_requests, exc)
+                with self._lock:
+                    # Delivered here: drain() must not raise it again.
+                    delivered = {f for f, _, _ in prepared[i:]}
+                    self._inflight = [f for f in self._inflight
+                                      if f not in delivered]
+                raise exc
+
+    def _run_launched(self, future: Future, queue_key: QueueKey,
+                      requests: List[ExplainRequest],
+                      ran_on: List[int]) -> None:
+        """The executor's side of :meth:`_launch`: run one batch and
+        complete its future.  ``ran_on`` receives the running thread's
+        id, which tells ``_launch`` whether the batch ran inline."""
+        ran_on.append(threading.get_ident())
+        if not future.set_running_or_notify_cancel():
+            with self._lock:
+                self._dispatching -= 1
+            return
+        try:
+            try:
+                served = self._run_isolated(queue_key, requests)
+            finally:
                 with self._lock:
                     self._dispatching -= 1
-                return
-            try:
-                try:
-                    served = self._run_isolated(queue_key, requests)
-                finally:
-                    with self._lock:
-                        self._dispatching -= 1
-            except BaseException as exc:   # noqa: BLE001 — an interrupt
-                with self._lock:
-                    unresolved = [r for r in requests
-                                  if not all(h.done for h in r.handles)]
-                    for request in unresolved:
-                        self._resolve_error_locked(request, exc,
-                                                   "requests_failed")
-                    self._scheduler.mark_complete(unresolved)
-                    for request in requests:
-                        request.future = None
-                future.set_exception(exc)
-            else:
-                with self._lock:
-                    for request in requests:
-                        request.future = None
-                future.set_result(served)
+        except BaseException as exc:       # noqa: BLE001 — an interrupt
+            self._interrupt_batch(future, requests, exc)
+        else:
+            with self._lock:
+                for request in requests:
+                    request.future = None
+            future.set_result(served)
 
+    def _interrupt_batch(self, future: Future,
+                         requests: List[ExplainRequest],
+                         exc: BaseException) -> None:
+        """Resolve a batch's still-unresolved handles with the interrupt
+        ``exc`` and set it on the batch's future."""
         with self._lock:
-            self._dispatching += 1
-        self._executor.submit(run)
+            unresolved = [r for r in requests
+                          if not all(h.done for h in r.handles)]
+            for request in unresolved:
+                self._resolve_error_locked(request, exc, "requests_failed")
+            self._scheduler.mark_complete(unresolved)
+            for request in requests:
+                request.future = None
+        future.set_exception(exc)
 
     # ------------------------------------------------------------------
     def flush(self, method: Optional[str] = None) -> int:
@@ -858,8 +888,7 @@ class ExplainEngine:
     def _run_prepared(self, prepared) -> int:
         """Launch prepared batches and block until all resolve; returns
         the number of handles resolved."""
-        for future, queue_key, requests in prepared:
-            self._launch(future, queue_key, requests)
+        self._launch(prepared)
         return sum(future.result() for future, _, _ in prepared)
 
     def drain(self) -> int:
@@ -919,8 +948,7 @@ class ExplainEngine:
                     # pair is balanced.
                     self._lock.release()
                     try:
-                        for future, queue_key, requests in prepared:
-                            self._launch(future, queue_key, requests)
+                        self._launch(prepared)
                     finally:
                         self._lock.acquire()
                     continue
@@ -975,6 +1003,12 @@ class ExplainEngine:
                     self._count_tenant(ctx.tenant, "served")
                 return PendingExplain(self, method, cache_hit=True,
                                       _result=result, ctx=ctx)
+        # Checked only on a miss: a stored map exists only for a valid
+        # image, so the hit paths above never pay for it.
+        channels = getattr(self.classifier, "in_channels", None)
+        if channels is not None and image.ndim and image.shape[0] != channels:
+            raise ValueError(f"image has {image.shape[0]} channel(s); the "
+                             f"model takes {channels}")
         if ctx.expired():
             # Dead on arrival: both cache tiers missed and the deadline
             # already passed — resolve without queueing or compute.
@@ -1068,10 +1102,8 @@ class ExplainEngine:
             handle._request = request
         if ready:
             if dispatch_async:
-                prepared = self._pop_and_prepare(method, ready_only=True,
-                                                 track=True)
-                for future, queue_key, requests in prepared:
-                    self._launch(future, queue_key, requests)
+                self._launch(self._pop_and_prepare(method, ready_only=True,
+                                                   track=True))
             else:
                 # Only the queue(s) that hit max_batch/deadline run;
                 # partial queues of other shapes keep accumulating.
@@ -1089,8 +1121,10 @@ class ExplainEngine:
         unique requests are pending or the deadline passed.
 
         ``label=None`` explains the classifier's own call, cached as
-        such.  A label or target outside ``[0, num_classes)``, or
-        ``label=None`` without a classifier, raises ``ValueError``.
+        such.  A label or target outside ``[0, num_classes)``,
+        ``label=None`` without a classifier, or (on a cache miss) an
+        image whose channel count differs from the classifier's
+        ``in_channels`` raises ``ValueError``.
 
         ``ctx`` is the request's SLO envelope: a
         :class:`RequestContext`, a bare priority-class string, or
@@ -1147,8 +1181,7 @@ class ExplainEngine:
             limit = max(0, capacity - self._dispatching)
         prepared = self._pop_and_prepare(None, ready_only=True,
                                          track=True, limit=limit)
-        for future, queue_key, requests in prepared:
-            self._launch(future, queue_key, requests)
+        self._launch(prepared)
         return len(prepared)
 
     def explain(self, image: np.ndarray, label: Optional[int], method: str,

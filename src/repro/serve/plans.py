@@ -6,11 +6,14 @@ re-records autograd bookkeeping and re-allocates every intermediate on
 each batch.  :class:`PlanCache` turns that repetition into compiled-plan
 replays:
 
-* **Key** — ``(method, batch_shape, dtype)``.  On first sight of a key
-  the explainer's hot path is traced and compiled
-  (:meth:`~repro.explain.base.Explainer.compile_plan`); thereafter the
-  batch replays through the plan's buffer arena with no Tensor objects,
-  no tape, and no per-batch allocation.
+* **Key** — ``(plan_key, batch_shape, dtype)``, where
+  :attr:`~repro.explain.base.Explainer.plan_key` names the traced core:
+  the method name by default, shared by the three FullGrad methods
+  (they trace one core per classifier), so they compile one plan per
+  shape.  On first sight of a key the explainer's hot path is traced
+  and compiled (:meth:`~repro.explain.base.Explainer.compile_plan`);
+  thereafter the batch replays through the plan's buffer arena with no
+  Tensor objects, no tape, and no per-batch allocation.
 * **Frozen-set revalidation** — each entry records the
   :func:`~repro.nn.frozen_fingerprint` at compile time.  A
   ``nn.frozen`` refcount transition (0→1 or 1→0) fires a listener that
@@ -24,24 +27,27 @@ replays:
   that drops every entry (and the negative cache): plans bake buffer
   dtypes at compile time.
 * **Fallbacks** — plan-ineligible explainers, ``PlanUnsupported``
-  compiles (negative-cached per method), fingerprint mismatches, and
+  compiles (negative-cached per ``plan_key``), fingerprint mismatches, and
   ``PlanMismatch`` replays all run the normal tape path and bump the
   ``fallbacks`` counter, so dashboards can see when the hot path is
   *not* compiled.
 
-Concurrency: :meth:`run` may compile concurrently for different
-methods, but callers must not replay one cache key from two threads at
-once (a replay mutates the plan's arena).  Both executors satisfy this
-already — the in-process engine holds a per-method lock around batch
-compute, and each process worker runs single-threaded on its own
-replica (with its own per-replica ``PlanCache``).
+Concurrency: a replay mutates the plan's arena, and two methods that
+share a ``plan_key`` replay one arena, so the engine's per-method lock
+cannot keep replays apart.  :meth:`run` holds a per-key lock across
+lookup, compile and replay instead: replays of one plan run one at a
+time, a key compiles once, and different keys compile and replay
+concurrently.  A process worker runs single-threaded on its own
+replica (with its own per-replica ``PlanCache``), so there the lock is
+one uncontended acquire per batch.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +57,7 @@ from ..nn.plan import PlanMismatch, PlanUnsupported
 
 __all__ = ["PlanCache"]
 
-PlanKey = Tuple[str, Tuple[int, ...], str]
+PlanKey = Tuple[Hashable, Tuple[int, ...], str]
 
 #: Live plans per cache; the least recently used is evicted past it.
 MAX_PLANS = 32
@@ -71,8 +77,10 @@ class PlanCache:
         #: key -> (ExecutionPlan, frozen fingerprint at compile time)
         self._plans: "OrderedDict[PlanKey, Tuple[object, frozenset]]" = \
             OrderedDict()
-        #: methods whose compile raised PlanUnsupported — don't retry.
+        #: plan_keys whose compile raised PlanUnsupported — don't retry.
         self._unsupported: set = set()
+        #: key -> [lock, holders and waiters]; see _key_lock.
+        self._key_locks: Dict[PlanKey, list] = {}
         self.compiled = 0
         self.replay_hits = 0
         self.fallbacks = 0
@@ -128,21 +136,46 @@ class PlanCache:
         """Execute one micro-batch through a compiled plan when
         possible, the tape otherwise (applying the engine's
         ``needs_gradients``/``no_grad`` contract to tape runs)."""
-        plan = self._lookup_or_compile(explainer, images, labels)
-        if plan is not None:
-            try:
-                results = explainer.explain_batch_planned(
-                    plan, images, labels, targets)
-            except PlanMismatch:
-                with self._lock:
-                    self.mismatches += 1
-            else:
-                with self._lock:
-                    self.replay_hits += 1
-                return results
+        # getattr: stub/demo explainers may predate the Explainer base.
+        if getattr(explainer, "plan_eligible", False):
+            key: PlanKey = (getattr(explainer, "plan_key", explainer.name),
+                            tuple(np.shape(images)),
+                            str(np.asarray(images).dtype))
+            with self._key_lock(key):
+                plan = self._lookup_or_compile(explainer, key, images,
+                                               labels)
+                if plan is not None:
+                    try:
+                        results = explainer.explain_batch_planned(
+                            plan, images, labels, targets)
+                    except PlanMismatch:
+                        with self._lock:
+                            self.mismatches += 1
+                    else:
+                        with self._lock:
+                            self.replay_hits += 1
+                        return results
         with self._lock:
             self.fallbacks += 1
         return self._run_tape(explainer, images, labels, targets)
+
+    @contextmanager
+    def _key_lock(self, key: PlanKey) -> Iterator[None]:
+        """Hold ``key``'s lock.  Its entry lives while a thread holds or
+        waits for it, so the table never outgrows the threads."""
+        with self._lock:
+            entry = self._key_locks.get(key)
+            if entry is None:
+                entry = self._key_locks[key] = [threading.Lock(), 0]
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._key_locks[key]
 
     @staticmethod
     def _run_tape(explainer: Explainer, images: np.ndarray,
@@ -153,19 +186,13 @@ class PlanCache:
         with nn.no_grad():
             return explainer.explain_batch(images, labels, targets)
 
-    def _lookup_or_compile(self, explainer: Explainer, images: np.ndarray,
-                           labels: np.ndarray):
-        """The plan for this batch's key, compiling on first sight;
-        ``None`` means "run the tape" (ineligible, unsupported, or
-        frozen-set mismatch)."""
-        # getattr: stub/demo explainers may predate the Explainer base.
-        if not getattr(explainer, "plan_eligible", False):
-            return None
-        method = explainer.name
-        key: PlanKey = (method, tuple(np.shape(images)),
-                        str(np.asarray(images).dtype))
+    def _lookup_or_compile(self, explainer: Explainer, key: PlanKey,
+                           images: np.ndarray, labels: np.ndarray):
+        """The plan for ``key``, compiling on first sight; ``None``
+        means "run the tape" (unsupported, or frozen-set mismatch).
+        The caller holds the key's lock."""
         with self._lock:
-            if method in self._unsupported:
+            if key[0] in self._unsupported:
                 return None
             entry = self._plans.get(key)
             if entry is not None:
@@ -175,14 +202,14 @@ class PlanCache:
                 self._plans.move_to_end(key)
                 return plan
             fingerprint = self._ambient
-        # Compile outside the lock: tracing runs the full model and must
-        # not serialize other methods' lookups behind it.  The engine's
-        # per-method lock already prevents duplicate compiles of one key.
+        # Compile outside the cache lock: tracing runs the full model and
+        # must not serialize other keys' lookups behind it.  The key's
+        # own lock prevents a duplicate compile of this key.
         try:
             plan = explainer.compile_plan(images, labels)
         except PlanUnsupported:
             with self._lock:
-                self._unsupported.add(method)
+                self._unsupported.add(key[0])
             return None
         with self._lock:
             self.compiled += 1

@@ -1,16 +1,27 @@
 """Unit tests for ``repro.nn.plan`` trace/replay and the serving-layer
 :class:`~repro.serve.plans.PlanCache` (compile-once / replay-thereafter,
-frozen-set revalidation, dtype invalidation, LRU bounds).
+frozen-set revalidation, dtype invalidation, LRU bounds, plans shared
+by methods that trace one core).
 
 Explainer-level plan-vs-tape parity for all ten Table II methods lives
 in ``test_explain_batch.py``; this file covers the machinery itself.
 """
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import nn
+from repro.classifiers import SmallResNet
+from repro.explain import (FullGradExplainer, SimpleFullGradExplainer,
+                           SmoothFullGradExplainer)
+from repro.nn import functional as F
 from repro.nn.plan import PlanMismatch, PlanUnsupported, trace
+from repro.serve import ExplainEngine, ThreadedExecutor
 from repro.serve.plans import PlanCache
 
 
@@ -79,6 +90,40 @@ class TestTraceReplay:
         with pytest.raises(PlanUnsupported):
             trace(core)
 
+    def test_aux_input_used_as_a_tensor_is_unsupported(self):
+        """An aux array wrapped in a Tensor would become a baked
+        constant, and replay would use the trace batch's value."""
+        scale = np.full((3, 16), 2.0, dtype=np.float32)
+
+        def core(tr):
+            x = tr.input("x", self.images)
+            aux = tr.aux_input("scale", scale)
+            tr.output("y", x * nn.Tensor(aux))
+        with pytest.raises(PlanUnsupported, match="'scale'"):
+            trace(core)
+
+    def test_trace_is_released_once_compiled(self):
+        """No traced intermediate outlives trace(): not through the
+        recorded values, nor through a step closure that holds its
+        record (max-pool's does)."""
+        images = np.random.default_rng(4).standard_normal(
+            (2, 1, 4, 4)).astype(np.float32)
+        traced = []
+
+        def core(tr):
+            x = tr.input("x", images)
+            hidden = (x * 2.0).relu()
+            pooled = F.max_pool2d(hidden, 2)
+            traced.extend(weakref.ref(t.data) for t in (hidden, pooled))
+            tr.output("pooled", pooled)
+        plan = trace(core)
+        gc.collect()
+        assert [ref() is None for ref in traced] == [True, True]
+        out = plan.replay({"x": images})
+        np.testing.assert_allclose(
+            out["pooled"], np.maximum(images * 2.0, 0).reshape(
+                2, 1, 2, 2, 2, 2).max(axis=(3, 5)), atol=1e-6)
+
     def test_non_scalar_loss_rejected(self):
         def core(tr):
             x = tr.input("x", self.images)
@@ -112,6 +157,105 @@ class TestTraceReplay:
         # Documented contract: returned arrays are views into the arena,
         # valid until the next replay.
         assert not np.array_equal(first["hidden"], kept)
+
+
+class _ConvNet:
+    """The classifier's conv geometries in a small stack: a 3x3
+    stride-1 pad-1 conv into a leaky ReLU, then a 3x3 stride-2 pad-1
+    conv beside a 1x1 stride-2 projection (so the activation between
+    them sums two input gradients), a global pool and a linear head."""
+
+    def __init__(self):
+        rng = np.random.default_rng(0)
+        self.conv = nn.Conv2d(2, 4, 3, padding=1, rng=rng)
+        self.down = nn.Conv2d(4, 6, 3, stride=2, padding=1, rng=rng)
+        self.proj = nn.Conv2d(4, 6, 1, stride=2, rng=rng)
+        self.head = nn.Linear(6, 3, rng=rng)
+
+    def __call__(self, x):
+        act = self.conv(x).leaky_relu(0.2)
+        out = (self.down(act) + self.proj(act)).relu()
+        return self.head(F.global_avg_pool2d(out)), act
+
+
+def _conv_plan_and_tape(dtype, side, weight_grad=False):
+    """Trace a _ConvNet plan on one batch and replay it on another;
+    returns the plan, the replay's gradients and the tape's on that
+    second batch."""
+    nn.set_default_dtype(dtype)
+    try:
+        net = _ConvNet()
+        rng = np.random.default_rng(3)
+        traced, images = rng.standard_normal(
+            (2, 2, 2, side, side)).astype(dtype)
+        labels = np.array([2, 0], dtype=np.int64)
+
+        def core(tr):
+            x = tr.input("x", traced)
+            lab = tr.aux_input("labels", labels[::-1].copy())
+            logits, act = net(x)
+            tr.grad("x", x)
+            tr.grad("act", act)
+            if weight_grad:
+                tr.grad("down_w", net.down.weight)
+            tr.loss(nn.class_score_sum(logits, lab))
+        plan = trace(core)
+        planned = plan.replay({"x": images, "labels": labels})
+
+        x = nn.Tensor(images, requires_grad=True)
+        logits, act = net(x)
+        act.retain_grad()
+        nn.class_score_sum(logits, labels).backward()
+    finally:
+        nn.set_default_dtype(np.float32)
+    tape = {"x": x.grad, "act": act.grad, "down_w": net.down.weight.grad}
+    return plan, planned, tape
+
+
+class TestConvPlan:
+    """Conv plans against the tape.  An odd side takes the dilated
+    gather at stride 2, an even side the matmul + col2im fallback."""
+
+    @pytest.mark.parametrize("side", [8, 9])
+    @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-5),
+                                            (np.float64, 1e-10)])
+    def test_gradients_match_tape(self, dtype, atol, side):
+        _, planned, tape = _conv_plan_and_tape(dtype, side)
+        for name in ("x", "act"):
+            assert planned[name].dtype == dtype
+            np.testing.assert_allclose(planned[name], tape[name],
+                                       rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("side", [8, 9])
+    def test_weight_gradient_matches_tape(self, side):
+        """A conv weight as a gradient target keeps its forward patches
+        private: its VJP reads them after later steps reuse the scratch
+        region."""
+        _, planned, tape = _conv_plan_and_tape(np.float64, side,
+                                               weight_grad=True)
+        for name in ("x", "act", "down_w"):
+            np.testing.assert_allclose(planned[name], tape[name],
+                                       rtol=0, atol=1e-10)
+
+    def test_step_buffers_share_one_region(self):
+        plan, _, _ = _conv_plan_and_tape(np.float32, 9)
+        cols = [rec.scratch["cols"] for rec in plan._records
+                if rec.op == "conv2d"]
+        assert len(cols) == 3
+        assert np.may_share_memory(cols[0], cols[1])
+        assert np.may_share_memory(cols[1], cols[2])
+
+    def test_fullgrad_arena_at_the_sweep_shape(self):
+        """The sweep's FullGrad plan (width 12, batch 2, 1x32x32): conv
+        patches and gradient windows share one region, so the arena
+        holds at most 8 MiB."""
+        classifier = SmallResNet(4, 1, width=12)
+        classifier.eval()
+        images = np.random.default_rng(0).random(
+            (2, 1, 32, 32)).astype(np.float32)
+        plan = FullGradExplainer(classifier).compile_plan(
+            images, np.array([1, 2]))
+        assert plan.arena_bytes <= 8 * 2 ** 20
 
 
 class _TinyPlanExplainer:
@@ -289,3 +433,73 @@ class TestEnginePlanIntegration:
             assert plans["arena_bytes"] > 0
         finally:
             engine.close()
+
+
+class TestSharedPlans:
+    """The three FullGrad methods trace one core: they share one plan
+    per shape, and replays of it never overlap."""
+
+    def test_fullgrad_family_compiles_one_plan(self, tiny_classifier,
+                                               tiny_train_set):
+        images = tiny_train_set.images[:2]
+        labels = tiny_train_set.labels[:2]
+        explainers = {e.name: e for e in (
+            FullGradExplainer(tiny_classifier),
+            SimpleFullGradExplainer(tiny_classifier),
+            SmoothFullGradExplainer(tiny_classifier, n_samples=2))}
+        engine = ExplainEngine(tiny_classifier, explainers, max_batch=2)
+        try:
+            for name, explainer in explainers.items():
+                served = engine.explain_batch(images, labels, name)
+                tape = explainer.explain_batch(images, labels)
+                for s, t in zip(served, tape):
+                    np.testing.assert_allclose(s.saliency, t.saliency,
+                                               rtol=0, atol=1e-5)
+            plans = engine.stats()["plans"]
+            assert (plans["compiled"], plans["plans"]) == (1, 1)
+            assert plans["replay_hits"] == 3
+        finally:
+            engine.close()
+
+    def test_concurrent_methods_on_one_plan_match_serial(self):
+        """Three workers serve the FullGrad family at once, with a short
+        thread switch interval; all replay one arena, so replays must
+        never overlap, the key compiles once, and the lock table ends
+        empty."""
+        classifier = SmallResNet(4, 1, width=12)
+        classifier.eval()
+        rng = np.random.default_rng(11)
+        images = rng.random((16, 1, 32, 32)).astype(np.float32)
+        labels = rng.integers(0, 4, size=16)
+        explainers = {e.name: e for e in (
+            FullGradExplainer(classifier),
+            SimpleFullGradExplainer(classifier),
+            SmoothFullGradExplainer(classifier, n_samples=2))}
+
+        def serve(executor, out):
+            engine = ExplainEngine(classifier, explainers, max_batch=2,
+                                   executor=executor)
+            with engine:
+                handles = [engine.submit_async(images[i], int(labels[i]), m)
+                           for i in range(len(images)) for m in explainers]
+                engine.drain()
+                out["maps"] = [h.result().saliency for h in handles]
+                out["compiled"] = engine.stats()["plans"]["compiled"]
+                out["locks"] = dict(engine._plan_cache._key_locks)
+
+        serial, threaded = {}, {}
+        serve("serial", serial)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker = threading.Thread(
+                target=serve, args=(ThreadedExecutor(workers=3), threaded),
+                daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert (threaded["compiled"], threaded["locks"]) == (1, {})
+        for got, want in zip(threaded["maps"], serial["maps"]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)

@@ -300,6 +300,27 @@ class TestModelCallLabels:
         result = engine.explain(images[0], int(labels[0]), "gradcam")
         assert result.label == int(labels[0])
 
+    def test_wrong_channel_count_refused_at_submit(self, tiny_classifier,
+                                                   sample):
+        """A 3-channel image on the 1-channel model raises at submit,
+        naming both counts: no explainer runs and nothing fails."""
+        images, labels = sample
+        stub = StubExplainer()
+        engine = ExplainEngine(tiny_classifier, {"stub": stub}, max_batch=1)
+        wrong = np.repeat(images[0], 3, axis=0)
+        for submit in (engine.submit, engine.submit_async):
+            with pytest.raises(ValueError, match="3 channel.*takes 1"):
+                submit(wrong, int(labels[0]), "stub")
+        assert stub.computed == 0
+        assert engine.pending_count() == 0
+        stats = engine.stats()
+        assert (stats["requests_failed"], stats["unresolved"]) == (0, 0)
+        # Nothing was wedged: the next valid request serves.
+        assert engine.explain(images[0], int(labels[0]), "stub").label \
+            == int(labels[0])
+        assert stub.computed == 1
+        engine.close()
+
     def test_engine_without_classifier_refuses_omitted_label(self):
         engine = ExplainEngine(None, {"stub": StubExplainer()})
         image = np.zeros((1, 4, 4), dtype=np.float32)

@@ -555,6 +555,58 @@ class TestFailureIsolation:
         engine.close()
 
 
+    def test_serial_async_interrupt_stops_the_sweep(self):
+        """A serial engine with ``max_pending`` ingests ``explain_batch``
+        through ``submit_async`` and runs each full batch inline: an
+        interrupt in one surfaces from that submit, before any later
+        batch runs, and only once."""
+        class InterruptSecond(StubExplainer):
+            calls = 0
+
+            def explain_batch(self, images, labels, target_labels=None):
+                self.calls += 1
+                if self.calls == 2:
+                    raise KeyboardInterrupt
+                return super().explain_batch(images, labels, target_labels)
+
+        stub = InterruptSecond()
+        engine = ExplainEngine(None, {"stub": stub}, max_batch=2,
+                               max_pending=64, executor="serial")
+        images = np.stack([_img(i) for i in range(8)])
+        with pytest.raises(KeyboardInterrupt):
+            engine.explain_batch(images, np.zeros(8, np.int64), "stub")
+        assert stub.calls == 2
+        assert engine.pending_count() == 0
+        stats = engine.stats()
+        assert (stats["requests_served"], stats["requests_failed"]) == (2, 2)
+        assert stats["unresolved"] == 0
+        engine.close()                     # delivered once: nothing re-raises
+
+    def test_serial_interrupt_resolves_batches_not_yet_run(self):
+        """A serial flush of two queues stops at the batch that raised
+        the interrupt: the other resolves with it, uncomputed."""
+        class Interrupting(StubExplainer):
+            def explain_batch(self, images, labels, target_labels=None):
+                self.computed += 1
+                raise KeyboardInterrupt
+
+        stub = Interrupting()
+        engine = ExplainEngine(None, {"stub": stub}, max_batch=8,
+                               executor="serial")
+        handles = [engine.submit(np.zeros((1, side, side), np.float32), 0,
+                                 "stub") for side in (4, 8)]
+        with pytest.raises(KeyboardInterrupt):
+            engine.flush()
+        assert stub.computed == 1
+        for handle in handles:
+            with pytest.raises(KeyboardInterrupt):
+                handle.result()
+        stats = engine.stats()
+        assert engine.pending_count() == 0
+        assert (stats["requests_failed"], stats["pending_handles"]) == (2, 0)
+        engine.close()
+
+
 class TestTerminalStateAccounting:
     def test_every_returned_handle_is_served_failed_or_expired(self):
         """Globally and per tenant, served + failed + expired equals the
