@@ -1,30 +1,19 @@
-"""Admission-control micro-benchmark: overload, eviction, adaptivity.
+"""Admission-control micro-benchmark: bounded-queue overload.
 
 Exercises the admission-controlled ``repro.serve`` runtime and writes an
 ``admission`` section into ``BENCH_serve.json`` (next to the throughput/
-dedup/shard numbers ``bench_serve.py`` records for the same label):
+dedup/shard numbers ``bench_serve.py`` records for the same label).
+N distinct requests flood an engine whose ``max_pending`` is far below
+N, once per admission policy.  Under ``policy="block"`` every request
+is served and the producer's total blocked time is recorded; under
+``policy="reject"`` the overflow raises ``EngineOverloaded`` and the
+run records the admitted/rejected split.  Both report the *served*
+rate (requests actually resolved per second — a rejected request does
+no work and must not inflate a throughput headline) next to the
+offered rate.
 
-* **Bounded-queue overload** — N distinct requests flood an engine whose
-  ``max_pending`` is far below N, once per admission policy.  Under
-  ``policy="block"`` every request is served and the producer's total
-  blocked time is recorded; under ``policy="reject"`` the overflow
-  raises ``EngineOverloaded`` and the run records the admitted/rejected
-  split.  Both report the *served* rate (requests actually resolved per
-  second — a rejected request does no work and must not inflate a
-  throughput headline) next to the offered rate.
-* **Eviction under pressure** — a skewed-cost trace (a small hot set of
-  expensive maps revisited every round while unique cheap maps flood
-  the cache) replayed against ``eviction="lru"`` and ``"cost"``.  The
-  headline is the *weighted* (cost-adjusted) hit rate: the fraction of
-  requested compute-milliseconds served from cache.  The run verifies
-  the cost policy beats LRU on it.
-* **Adaptive batch limits** — a cheap and an expensive method stream
-  through one ``min_batch`` engine; the recorded per-queue limits show
-  the cheap queue ramped to ``max_batch`` while the expensive queue
-  stayed at the floor.
-
-Costs come from stub explainers with deterministic per-map sleeps (the
-dynamics under test are the runtime's, not the models'), so the run is
+Costs come from a stub explainer with a deterministic per-map sleep (the
+dynamics under test are the runtime's, not the model's), so the run is
 seconds, not minutes::
 
     PYTHONPATH=src python benchmarks/bench_admission.py --label current
@@ -48,19 +37,17 @@ DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_serve.json")
 
 
 class SleepStub(Explainer):
-    """Deterministic-cost explainer: ``sleep_ms`` per map, counted."""
+    """Deterministic-cost explainer: ``sleep_ms`` per map."""
 
     needs_gradients = False
 
     def __init__(self, name: str, sleep_ms: float):
         self.name = name
         self.sleep_ms = sleep_ms
-        self.computed = 0
 
     def explain_batch(self, images, labels, target_labels=None):
         if self.sleep_ms:
             time.sleep(self.sleep_ms * len(images) / 1000.0)
-        self.computed += len(images)
         return [SaliencyResult(np.zeros(images.shape[2:]), int(y))
                 for y in labels]
 
@@ -111,79 +98,6 @@ def overload_run(policy: str, requests: int, max_pending: int,
     }
 
 
-# ----------------------------------------------------------------------
-def eviction_run(eviction: str, rounds: int, hot: int, flood: int,
-                 cache_size: int, pricey_ms: float,
-                 cheap_ms: float) -> dict:
-    """Replay the skewed-cost trace against one eviction policy.
-
-    Per round: two passes over the hot expensive set (the second pass
-    can hit cache even under LRU), then a flood of never-repeated cheap
-    maps that overflows the cache.  Weighted hit rate charges each
-    request its method's nominal per-map cost.
-    """
-    pricey = SleepStub("pricey", pricey_ms)
-    cheap = SleepStub("cheap", cheap_ms)
-    engine = ExplainEngine(None, {"pricey": pricey, "cheap": cheap},
-                           max_batch=4, cache_size=cache_size,
-                           cache_shards=1, eviction=eviction)
-    total = 0
-    serial = 0
-    for _ in range(rounds):
-        for _pass in range(2):
-            for i in range(hot):
-                engine.explain(_img(i), 0, "pricey")
-                total += 1
-        for _ in range(flood):
-            serial += 1
-            engine.explain(_img(10_000 + serial), 0, "cheap")
-            total += 1
-    # The cache's own accounting (measured per-map costs) replaces the
-    # nominal-cost recomputation this section used to do by hand.
-    stats = engine.stats()
-    return {
-        "eviction": eviction,
-        "requests": total,
-        "pricey_computed": pricey.computed,
-        "cheap_computed": cheap.computed,
-        "hit_rate": round(stats["hit_rate"], 4),
-        "weighted_hit_rate": round(stats["weighted_hit_rate"], 4),
-    }
-
-
-# ----------------------------------------------------------------------
-def adaptive_run(cheap_requests: int, pricey_requests: int) -> dict:
-    """Stream a cheap and an expensive method through one adaptive
-    engine; returns the settled per-queue batch limits."""
-    cheap = SleepStub("cheap", 0.0)
-    pricey = SleepStub("pricey", 4.0)
-    engine = ExplainEngine(None, {"cheap": cheap, "pricey": pricey},
-                           max_batch=32, min_batch=1, target_batch_ms=6.0,
-                           cache_size=4 * (cheap_requests
-                                           + pricey_requests))
-    for i in range(cheap_requests):
-        engine.submit_async(_img(i), 0, "cheap")
-    for i in range(pricey_requests):
-        engine.submit_async(_img(i), 0, "pricey")
-    engine.drain()
-    stats = engine.stats()
-    limits = stats["batch_limits"]
-    cheap_limit = limits.get("cheap@1x8x8", 1)
-    pricey_limit = limits.get("pricey@1x8x8", 1)
-    if cheap_limit <= pricey_limit:
-        raise SystemExit(
-            f"adaptive limits did not diverge: cheap {cheap_limit} vs "
-            f"pricey {pricey_limit}")
-    return {
-        "target_batch_ms": 6.0,
-        "min_batch": 1,
-        "max_batch": 32,
-        "batch_limits": limits,
-        "batches_run": stats["batches_run"],
-        "requests": cheap_requests + pricey_requests,
-    }
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--label", default="current",
@@ -194,8 +108,6 @@ def main() -> None:
     parser.add_argument("--max-pending", type=int, default=16)
     parser.add_argument("--workers", type=int,
                         default=max(2, min(4, os.cpu_count() or 1)))
-    parser.add_argument("--rounds", type=int, default=6,
-                        help="eviction-trace rounds")
     args = parser.parse_args()
 
     overload = {policy: overload_run(policy, args.requests,
@@ -211,36 +123,12 @@ def main() -> None:
           f"({rej['offered_rps']:.0f} offered/s), "
           f"{rej['admitted']} admitted / {rej['rejected']} rejected")
 
-    eviction = {policy: eviction_run(policy, rounds=args.rounds, hot=4,
-                                     flood=32, cache_size=32,
-                                     pricey_ms=25.0, cheap_ms=0.2)
-                for policy in ("lru", "cost")}
-    lru, cost = eviction["lru"], eviction["cost"]
-    if cost["weighted_hit_rate"] <= lru["weighted_hit_rate"]:
-        raise SystemExit(
-            f"cost-aware eviction did not beat LRU on the skewed-cost "
-            f"trace: {cost['weighted_hit_rate']} <= "
-            f"{lru['weighted_hit_rate']}")
-    print(f"eviction under pressure ({lru['requests']} reqs, skewed "
-          "costs):")
-    for name, row in eviction.items():
-        print(f"  {name:4s}: weighted hit rate "
-              f"{row['weighted_hit_rate']:.1%} (plain {row['hit_rate']:.1%},"
-              f" pricey recomputed {row['pricey_computed']}x)")
-
-    adaptive = adaptive_run(cheap_requests=64, pricey_requests=16)
-    print(f"adaptive batch limits: {adaptive['batch_limits']} "
-          f"({adaptive['batches_run']} batches for "
-          f"{adaptive['requests']} requests)")
-
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
     doc.setdefault(args.label, {})["admission"] = {
         "overload": overload,
-        "eviction_under_pressure": eviction,
-        "adaptive_batching": adaptive,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -17,11 +17,10 @@ root:
   exercised on every push.
 * **Transport** — a payload-dominated workload (an ``echo`` explainer
   whose compute is a channel mean, 64x64 images, batch 16) through a
-  process pool's shared-memory arenas.  Records requests/sec, payload
-  MB/s and the pickled payload bytes per request, and **fails the
-  run** unless no payload byte was pickled and no batch fell back to
-  the pipe — that invariant is structural, not hardware-dependent, so
-  it gates everywhere.
+  process pool's shared-memory arenas.  Records requests/sec and
+  payload MB/s, and **fails the run** unless every batch sent crossed
+  the arenas and none was resent stale — that invariant is structural,
+  not hardware-dependent, so it gates everywhere.
 * **Duplicate-heavy dedup** — U unique images requested R times each
   through one method; the run *verifies* via ``stats()`` counters that
   each unique request was computed exactly once (``cache_inserts ==
@@ -162,8 +161,6 @@ def transport_workload(num_classes: int, in_channels: int, workers: int,
         "payload_bytes_per_request": payload_per_request,
         "shm_rps": round(best, 2),
         "shm_payload_mb_s": round(best * payload_per_request / 1e6, 2),
-        "shm_pickled_bytes_per_request": round(
-            stats["pipe_payload_bytes"] / requests, 1),
         "shm_copies_avoided": stats["copies_avoided"],
         "shm_arena_bytes": stats["arena_bytes"],
         "shm_overlap_occupancy": stats["overlap_occupancy"],
@@ -172,14 +169,14 @@ def transport_workload(num_classes: int, in_channels: int, workers: int,
     print(f"transport ({requests} reqs, {side}x{side}, batch {batch}): "
           f"{section['shm_rps']:7.1f} req/s, "
           f"{section['shm_payload_mb_s']:6.1f} MB/s payload, "
-          f"{section['shm_pickled_bytes_per_request']:.0f} pickled B/req, "
-          f"{section['shm_fallbacks']} fallbacks")
-    if section["shm_pickled_bytes_per_request"] or section["shm_fallbacks"]:
+          f"{stats['shm_batches']}/{stats['sends']} batches over the "
+          f"arenas, {section['shm_fallbacks']} stale resends")
+    if stats["shm_batches"] != stats["sends"] or section["shm_fallbacks"]:
         raise SystemExit(
-            "transport regression: expected every payload byte to cross "
-            "the shared-memory arenas, got "
-            f"{section['shm_pickled_bytes_per_request']} pickled B/req and "
-            f"{section['shm_fallbacks']} pipe fallbacks")
+            "transport regression: expected every batch to cross the "
+            f"shared-memory arenas, got {stats['shm_batches']} of "
+            f"{stats['sends']} and {section['shm_fallbacks']} stale "
+            "resends")
     return section
 
 

@@ -7,9 +7,8 @@ front *multiple* :class:`ExperimentContext`s at once: here a 16x16
 brain-tumor deployment and a 24x24 chest-X-ray deployment register
 their explainers under namespaced method names (``brain:gradcam``,
 ``chest:occlusion``, ...) on one engine.  Mixed traffic from both test
-sets then shares one admission bound (``max_pending``), one cost-aware
-cache, and per-queue adaptive batch limits — and a 24x24 batch never
-stacks into a 16x16 one.
+sets then shares one admission bound (``max_pending``) and one sharded
+cache — and a 24x24 batch never stacks into a 16x16 one.
 
 Executor choice rides the same engine: ``--executor process`` serves
 the mixed traffic from persistent worker *processes* — the module-level
@@ -108,8 +107,8 @@ def main() -> None:
 
     engine = ExplainEngine(
         None, explainers,
-        max_batch=16, min_batch=2, target_batch_ms=100.0,  # adaptive
-        cache_size=256, cache_shards=4, eviction="cost",
+        max_batch=16,
+        cache_size=256, cache_shards=4,
         max_pending=32, policy="block",                    # backpressure
         executor=executor,
         store=args.store)                                  # tier 2 (opt.)
@@ -137,15 +136,14 @@ def main() -> None:
         assert shapes == {(16, 16), (24, 24)}
 
         stats = engine.stats()
-        print(f"batches: {stats['batches_run']}  "
-              f"adaptive limits: {stats['batch_limits']}")
+        print(f"batches: {stats['batches_run']}")
         print(f"admission: {stats['admission_blocked']} submits blocked "
               f"{stats['admission_blocked_ms']:.0f} ms total "
               f"(policy={stats['admission_policy']}, "
               f"max_pending={stats['max_pending']})")
 
         # Warm pass: the same mixed traffic is served from the shared
-        # cost-aware cache without touching either classifier.
+        # cache without touching either classifier.
         before = stats["batches_run"]
         for tag, ctx in contexts.items():
             images, labels, _ = ctx.sample_test_images(8, seed=0)
@@ -158,15 +156,14 @@ def main() -> None:
         print(f"\nwarm pass: {stats['cache_hits']} cache hits, "
               f"{stats['batches_run'] - before} new batches")
         print(f"cache: size {stats['cache_size']} over "
-              f"{stats['cache_shards']} shards "
-              f"(eviction={stats['eviction']})")
+              f"{stats['cache_shards']} shards")
         if args.store:
             store = stats["store"]
             print(f"store: {stats['store_served']} requests served from "
                   f"disk this run; {store['entries']} entries "
-                  f"({store['bytes'] / 1024:.0f} KiB) persisted with "
-                  "their GDSF costs — rerun with the same --store and "
-                  "the cold pass above disappears")
+                  f"({store['bytes'] / 1024:.0f} KiB) persisted — "
+                  "rerun with the same --store and the cold pass above "
+                  "disappears")
     print("\nengine closed (drained first: no handle left behind)")
 
 

@@ -151,8 +151,7 @@ def evaluate_methods(explainers: Optional[Dict[str, Explainer]],
     dict/iterable to restrict the sweep.  Reproduction runs then share
     the serving code path (and its cache/dedup/admission counters) with
     traffic: on a ``max_pending`` engine the sweep's ingestion is
-    bounded, and on an adaptive (``min_batch``) engine each method's
-    batches settle at its own latency-matched size.
+    bounded.
     """
     if engine is not None:
         names = list(explainers) if explainers is not None \

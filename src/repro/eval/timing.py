@@ -81,8 +81,7 @@ def served_saliency_time_ms(engine, method: str, images: np.ndarray,
 
     ``explain_batch`` ingests through the engine's admission-controlled
     async path, so timing a ``max_pending`` engine measures the same
-    bounded-memory pipeline (and, when adaptive batching is on, the
-    same per-queue batch limits) that serves live traffic.
+    bounded-memory pipeline that serves live traffic.
     """
     if n_images is not None:
         images = images[:n_images]

@@ -3,11 +3,10 @@
 The package splits the serving layer into four pieces:
 
 * :mod:`~repro.serve.cache` — :class:`ShardedSaliencyCache`: N
-  independent thread-safe shards keyed on a stable hash of the image
-  digest; per-shard stats aggregate in ``stats()``.  Eviction is exact
-  LRU by default or cost-aware GDSF (``policy="cost"``): each insert
-  records the measured per-map compute cost, so a flood of cheap maps
-  can't evict the few expensive ones.
+  independent thread-safe LRU shards keyed on a stable hash of the
+  image digest; per-shard stats aggregate in ``stats()``.  Each insert
+  records the measured per-map compute cost, which weights the hit
+  rate.
 * :mod:`~repro.serve.scheduler` — :class:`MicroBatchScheduler`: pending
   requests queue per ``(method, image_shape, priority_class)`` (one
   engine serves heterogeneous datasets, and an interactive request
@@ -15,10 +14,8 @@ The package splits the serving layer into four pieces:
   method, label, target)`` requests dedup onto one computation —
   across classes — whose result fans out to every attached handle.
   Ready queues flush in effective-rank order (class rank softened by
-  queue wait, so floods delay but never starve a class).  With
-  ``min_batch`` set, each queue's flush limit adapts to its observed
-  per-map latency (cheap methods batch wide, expensive ones flush
-  small).
+  queue wait, so floods delay but never starve a class); a queue
+  flushes at ``max_batch`` unique requests or on its deadline.
 * :mod:`~repro.serve.context` — :class:`RequestContext`: the
   per-request SLO envelope (priority class, optional absolute
   deadline, tenant id, trace id) and stage-timestamp carrier every
@@ -35,17 +32,16 @@ The package splits the serving layer into four pieces:
   headers, sidestepping the GIL for the python-heavy explainer
   overhead threads cannot parallelize).
 * :mod:`~repro.serve.worker` — the process-worker side: the
-  :class:`EngineSpec` recipe, the pool's message protocol, the result
-  codec, and the worker loop.
+  :class:`EngineSpec` recipe, the pool's message protocol, and the
+  worker loop.
 * :mod:`~repro.serve.transport` — the zero-copy payload path under the
   process pool: per-worker double-buffered shared-memory arenas
   (:class:`ShmArena` parent-side, :class:`ArenaClient` worker-side)
   carry the ndarray payloads while the pipe carries compact headers,
   letting the dispatcher encode the next batch while the worker
-  computes the current one.  Arenas grow geometrically, a stale
-  segment or an oversized reply degrades that one batch to the pipe,
-  and the parent owns every ``/dev/shm`` segment (crashes leak
-  nothing).
+  computes the current one.  Arenas grow geometrically, a slot whose
+  segments went stale is replaced and its batch resent once, and the
+  parent owns every ``/dev/shm`` segment (crashes leak nothing).
 * :mod:`~repro.serve.plans` — :class:`PlanCache`: compiled execution
   plans for the shape-repetitive hot path.  The first batch of a
   plan-eligible method on a new ``(plan_key, batch_shape, dtype)`` key
@@ -72,8 +68,8 @@ The package splits the serving layer into four pieces:
   float16-quantized records in append-only segment files, a journaled
   index rebuilt by CRC-checked segment scan on corruption, write-behind
   inserts (the hot path never blocks on disk), mmap reads, per-entry
-  GDSF cost persisted so cost-aware eviction survives restarts, and
-  whole-segment compaction for capacity.  One opener per directory:
+  compute cost persisted across restarts, and whole-segment GDSF
+  compaction for capacity.  One opener per directory:
   the engine, which probes it before any work reaches an executor.
 * :mod:`~repro.serve.engine` — the :class:`ExplainEngine` façade tying
   them together behind ``submit`` / ``submit_async`` / ``flush`` /
@@ -101,9 +97,8 @@ Quickstart
     from repro.serve import ExplainEngine
 
     engine = ExplainEngine(classifier, suite.explainers,
-                           max_batch=32, min_batch=2,   # adaptive batching
+                           max_batch=32,                # flush size
                            cache_size=512, cache_shards=4,
-                           eviction="cost",             # keep pricey maps
                            max_pending=64,              # backpressure
                            executor="threaded")
     handles = [engine.submit_async(img, int(lab), "gradcam")
@@ -111,7 +106,7 @@ Quickstart
     engine.drain()                                    # resolve everything
     maps = [h.result().saliency for h in handles]
     print(engine.stats())   # hits/misses/evictions per shard, batches,
-                            # dedup fan-outs, admission + batch-limit state
+                            # dedup fan-outs, admission state
     engine.close()          # drains first: no handle is ever stranded
 
 Methods with ``needs_gradients = False`` run under the (thread-local)
@@ -119,8 +114,8 @@ Methods with ``needs_gradients = False`` run under the (thread-local)
 the digest is stamped on the result's ``image_digest`` field.
 """
 
-from .cache import (EVICTION_POLICIES, CacheKey, SaliencyCache,
-                    ShardedSaliencyCache, image_digest, request_key)
+from .cache import (CacheKey, SaliencyCache, ShardedSaliencyCache,
+                    image_digest, request_key)
 from .context import (PRIORITIES, PRIORITY_RANK, DeadlineExceeded,
                       RequestContext)
 from .engine import (ADMISSION_POLICIES, EngineOverloaded, ExplainEngine,
@@ -138,7 +133,7 @@ __all__ = [
     "ExplainEngine", "PendingExplain", "EngineOverloaded",
     "TenantOverQuota",
     "RequestContext", "DeadlineExceeded", "PRIORITIES", "PRIORITY_RANK",
-    "ADMISSION_POLICIES", "EVICTION_POLICIES",
+    "ADMISSION_POLICIES",
     "SaliencyCache", "ShardedSaliencyCache", "CacheKey",
     "image_digest", "request_key",
     "MicroBatchScheduler", "ExplainRequest", "QueueKey",

@@ -8,26 +8,17 @@ field) — the image bytes are never re-hashed.  A ``None`` label is the
 classifier's own call: a hit never runs the classifier, and it never
 shares an entry with a supplied label, even one equal to that call.
 
-:class:`SaliencyCache` is one thread-safe bounded shard.
+:class:`SaliencyCache` is one thread-safe bounded LRU shard.
 :class:`ShardedSaliencyCache` fronts N independent shards keyed on a
 stable hash of the digest, so concurrent executor workers contend on
 1/N of the lock traffic and eviction pressure spreads across shards.
 With ``shards=1`` it degenerates to a single global shard (the engine's
 default, which keeps exact eviction semantics).
 
-Two eviction policies:
-
-* ``policy="lru"`` (default) — classic least-recently-used.  Exact,
-  cost-blind: a StyLEx map that took seconds to compute is evicted as
-  readily as a CAE map that took a millisecond.
-* ``policy="cost"`` — GDSF-style cost-aware eviction.  Each insert
-  records the compute cost the runtime measured for the entry
-  (``cost_ms``, per-map milliseconds); an entry's priority is
-  ``clock + cost / size`` and the minimum-priority entry is evicted.
-  The clock ratchets up to each evicted priority, so long-untouched
-  entries age out eventually, but under pressure a flood of cheap
-  recomputable maps cannot push out the few expensive ones — the
-  weighted (cost-adjusted) hit rate stays high where LRU's collapses.
+Eviction is least-recently-used.  Each entry also records the compute
+cost the runtime measured for it (``cost_ms``), which feeds the
+weighted hit rate only: behind a warm tier 2 every tier-1 miss costs
+the same store read, whatever the map cost to compute.
 """
 
 from __future__ import annotations
@@ -71,9 +62,6 @@ def request_key(image: np.ndarray, method: str, label: Optional[int],
     return (digest, method, label, target)
 
 
-EVICTION_POLICIES = ("lru", "cost")
-
-
 def _derive_rates(stats: Dict[str, object]) -> Dict[str, object]:
     """Attach the derived ``hit_rate`` / ``weighted_hit_rate`` fields
     to a counter dict (benches and the store bench consume these
@@ -110,31 +98,16 @@ def _freeze_result(result: SaliencyResult) -> None:
 
 
 class SaliencyCache:
-    """One thread-safe bounded shard: :data:`CacheKey` -> result.
+    """One thread-safe bounded LRU shard: :data:`CacheKey` -> result."""
 
-    ``policy`` picks eviction: exact LRU (default) or cost-aware GDSF
-    (``"cost"`` — see the module docstring).  Under the cost policy each
-    eviction scans the shard for the minimum-priority entry; shards are
-    a few hundred entries, so the scan is cheaper than maintaining a
-    heap with lazy invalidation at this scale.
-    """
-
-    def __init__(self, capacity: int = 256, policy: str = "lru"):
+    def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
-        if policy not in EVICTION_POLICIES:
-            raise ValueError(f"unknown eviction policy {policy!r}; "
-                             f"use one of {EVICTION_POLICIES}")
         self.capacity = capacity
-        self.policy = policy
         self._store: "OrderedDict[CacheKey, SaliencyResult]" = OrderedDict()
         self._lock = threading.Lock()
-        # Per-key compute cost is tracked under *both* policies (it
-        # feeds the weighted hit rate); the GDSF priority map and aging
-        # clock are cost-policy-only state.
+        #: Per-key compute cost, for the weighted hit rate.
         self._cost: Dict[CacheKey, float] = {}
-        self._priority: Dict[CacheKey, float] = {}
-        self._clock = 0.0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -154,30 +127,6 @@ class SaliencyCache:
     def __contains__(self, key: CacheKey) -> bool:
         return key in self._store
 
-    # -- cost-policy helpers (called under self._lock) -----------------
-    @staticmethod
-    def _size_of(result: SaliencyResult) -> float:
-        saliency = getattr(result, "saliency", None)
-        if isinstance(saliency, np.ndarray) and saliency.size:
-            return float(saliency.size)
-        return 1.0
-
-    def _reprioritize(self, key: CacheKey, result: SaliencyResult) -> None:
-        self._priority[key] = (self._clock
-                               + self._cost.get(key, 0.0)
-                               / self._size_of(result))
-
-    def _evict_one(self) -> None:
-        if self.policy == "cost":
-            victim = min(self._priority, key=self._priority.__getitem__)
-            evicted_priority = self._priority.pop(victim)
-            self._clock = max(self._clock, evicted_priority)
-            del self._store[victim]
-        else:
-            victim, _ = self._store.popitem(last=False)
-        self._cost.pop(victim, None)
-        self.evictions += 1
-
     # ------------------------------------------------------------------
     def get(self, key: CacheKey,
             tenant: Optional[str] = None) -> Optional[SaliencyResult]:
@@ -187,9 +136,6 @@ class SaliencyCache:
                 self.misses += 1
                 return None
             self._store.move_to_end(key)
-            if self.policy == "cost":
-                # Refresh at the current clock: recency plus cost bonus.
-                self._reprioritize(key, result)
             self.hits += 1
             self.hit_cost_ms += self._cost.get(key, 0.0)
             if tenant is not None:
@@ -208,10 +154,9 @@ class SaliencyCache:
             computed: bool = True) -> None:
         """Insert a result, optionally recording its measured compute
         cost (per-map milliseconds; the engine passes batch ms / batch
-        size).  The cost feeds the ``"cost"`` eviction policy and the
-        weighted hit rate under either policy.  ``computed=False``
-        marks inserts whose compute was *not* paid by this process —
-        tier-2 store fills — so the weighted hit rate bills only real
+        size) for the weighted hit rate.  ``computed=False`` marks
+        inserts whose compute was *not* paid by this process — tier-2
+        store fills — so the weighted hit rate bills only real
         explainer work."""
         _freeze_result(result)
         with self._lock:
@@ -224,10 +169,10 @@ class SaliencyCache:
                 self._cost[key] = float(cost_ms)
                 if computed:
                     self.insert_cost_ms += float(cost_ms)
-            if self.policy == "cost":
-                self._reprioritize(key, result)
             while len(self._store) > self.capacity:
-                self._evict_one()
+                victim, _ = self._store.popitem(last=False)
+                self._cost.pop(victim, None)
+                self.evictions += 1
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
@@ -249,14 +194,10 @@ class ShardedSaliencyCache:
     ``capacity`` is split as evenly as possible across shards (every
     shard holds at least one entry); ``shards`` is clamped so this
     always works.  Aggregate counters are summed over shards in
-    :meth:`stats`.  ``policy`` selects each shard's eviction policy
-    (``"lru"`` or cost-aware ``"cost"``); eviction decisions stay
-    per-shard, so the cost policy compares priorities only among keys
-    that share a shard.
+    :meth:`stats`.
     """
 
-    def __init__(self, capacity: int = 256, shards: int = 1,
-                 policy: str = "lru"):
+    def __init__(self, capacity: int = 256, shards: int = 1):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         if shards < 1:
@@ -264,9 +205,8 @@ class ShardedSaliencyCache:
         shards = min(shards, capacity)
         base, extra = divmod(capacity, shards)
         self.capacity = capacity
-        self.policy = policy
         self.shards: List[SaliencyCache] = [
-            SaliencyCache(base + (1 if i < extra else 0), policy=policy)
+            SaliencyCache(base + (1 if i < extra else 0))
             for i in range(shards)
         ]
 
@@ -342,7 +282,6 @@ class ShardedSaliencyCache:
             "insert_cost_ms": self.insert_cost_ms,
             "tenant_hits": self.tenant_hits(),
             "size": len(self), "capacity": self.capacity,
-            "policy": self.policy,
             "shards": len(self.shards),
             "shard_sizes": self.shard_sizes(),
         })

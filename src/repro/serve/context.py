@@ -20,8 +20,8 @@ could tell an interactive request from a bulk Table II sweep.
 * **Trace id + stage stamps** — ``admitted/enqueued/dispatched/
   computed/resolved`` monotonic timestamps stamped by the layer that
   performs each transition, plus ``worker_pid/worker_recv_at/
-  worker_done_at`` stamped by a process worker when the batch rode a
-  pipe or shm transport.
+  worker_done_at`` stamped by a process worker, carried back in its
+  reply header.
 
 Legacy callers pass nothing: every engine entry point defaults the
 context to ``RequestContext()`` (priority ``normal``, no deadline, no
@@ -57,7 +57,7 @@ class DeadlineExceeded(RuntimeError):
 
     Raised from ``PendingExplain.result()``; the request was dropped
     from its queue without billing compute (no executor dispatch, no
-    cache insert, no adaptive-batching observation).  ``ctx`` carries
+    cache insert).  ``ctx`` carries
     the dead request's :class:`RequestContext` for post-mortems.
     """
 
@@ -88,7 +88,7 @@ class RequestContext:
     ``dispatched_at``engine, when the request pops into a micro-batch
     ``computed_at``  engine, when the batch's explainer pass returned
     ``resolved_at``  engine, when the handle's result (or error) is set
-    ``worker_*``     process worker, via the pipe/shm reply header
+    ``worker_*``     process worker, via its batch reply header
     ===============  ====================================================
 
     All stamps are ``time.monotonic()`` seconds; :meth:`stamp` is

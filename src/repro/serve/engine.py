@@ -32,10 +32,9 @@ batch executor — behind the serving API the rest of the repo consumes:
 * ``label=None`` asks for the classifier's own call.  It is keyed as
   ``None`` in both cache tiers and dedup, so a hit never runs the
   classifier; misses get one batched ``predict`` per micro-batch.
-* Each batch's measured wall time feeds back twice: as the per-map
-  compute cost on the cache insert (the ``eviction="cost"`` policy
-  keeps expensive maps under pressure) and into the scheduler's
-  adaptive per-queue batch limits (``min_batch``).
+* Each batch's measured wall time becomes the per-map compute cost on
+  the cache and store inserts: it weights the hit rate, and orders the
+  store's compaction.
 * Methods with ``needs_gradients = False`` execute under
   ``nn.no_grad()`` (a thread-local switch, so concurrent workers never
   leak inference mode into each other's tapes).
@@ -221,33 +220,17 @@ class ExplainEngine:
         :class:`~repro.explain.ExplainerSuite`'s ``explainers`` dict).
     max_batch:
         Micro-batch size ceiling: a ``(method, shape, class)`` queue
-        auto-flushes when its current limit of *unique* requests is
-        pending (the limit is ``max_batch`` itself unless adaptive
-        batching is on).
+        auto-flushes when this many *unique* requests are pending.
     max_delay_ms:
         Deadline: a submit auto-flushes a queue whose oldest pending
         request has waited at least this long.  ``None`` disables the
         deadline (flush on size or demand only).
-    min_batch:
-        Turns on adaptive micro-batching: each queue's flush limit
-        ramps between ``min_batch`` and ``max_batch`` from the observed
-        per-map latency of its recent batches, targeting
-        ``target_batch_ms`` of compute per batch.  ``None`` (default)
-        keeps the single static ``max_batch`` knob.
-    target_batch_ms:
-        Per-batch compute budget the adaptive limits steer toward
-        (ignored unless ``min_batch`` is set).
     cache_size:
         Total saliency-cache capacity (entries, across all shards).
     cache_shards:
-        Cache shard count.  1 (default) keeps exact global eviction
-        semantics; serving deployments with a threaded executor should
+        Cache shard count.  1 (default) keeps exact global LRU
+        eviction; serving deployments with a threaded executor should
         shard (4-8) to spread lock traffic and eviction pressure.
-    eviction:
-        Cache eviction policy: exact ``"lru"`` (default) or cost-aware
-        ``"cost"`` (GDSF: under pressure, cheap-to-recompute maps are
-        evicted before expensive ones — the engine records each batch's
-        measured per-map cost on insert).
     max_pending:
         Admission bound: the async path holds at most this many unique
         unresolved requests (queued + dispatched).  ``None`` (default)
@@ -290,7 +273,7 @@ class ExplainEngine:
         there (read-write, single writer) and closes it with the
         engine — or an already-open store instance.  Tier-1 misses
         probe the store before queueing compute (mmap read, arrays
-        re-frozen, the persisted GDSF cost threaded into the tier-1
+        re-frozen, the persisted cost threaded into the tier-1
         insert); computed results write behind to it.  Reopening the
         same directory later starts the engine *warm* — the whole
         point.
@@ -302,10 +285,7 @@ class ExplainEngine:
 
     def __init__(self, classifier, explainers: Dict[str, Explainer],
                  max_batch: int = 16, max_delay_ms: Optional[float] = None,
-                 min_batch: Optional[int] = None,
-                 target_batch_ms: float = 200.0,
                  cache_size: int = 256, cache_shards: int = 1,
-                 eviction: str = "lru",
                  max_pending: Optional[int] = None, policy: str = "block",
                  tenant_quota: Optional[int] = None,
                  tenant_quotas: Optional[Dict[str, int]] = None,
@@ -323,11 +303,8 @@ class ExplainEngine:
                     + (f" for tenant {tenant!r}" if tenant else ""))
         self.classifier = classifier
         self.explainers = dict(explainers)
-        self.cache = ShardedSaliencyCache(cache_size, shards=cache_shards,
-                                          policy=eviction)
-        self._scheduler = MicroBatchScheduler(
-            max_batch, max_delay_ms, min_batch=min_batch,
-            target_batch_ms=target_batch_ms)
+        self.cache = ShardedSaliencyCache(cache_size, shards=cache_shards)
+        self._scheduler = MicroBatchScheduler(max_batch, max_delay_ms)
         self._executor = make_executor(executor)
         self._lock = threading.RLock()
         self._inflight: List[Future] = []
@@ -470,8 +447,6 @@ class ExplainEngine:
                 "tenant_quota": self.tenant_quota,
                 "tenant_quotas": dict(self.tenant_quotas),
                 "quota_rejected": self.quota_rejected,
-                "batch_limits": self._scheduler.batch_limits(),
-                "eviction": self.cache.policy,
                 "executor": self._executor.name,
                 "plans": plans,
                 "transport": transport,
@@ -536,7 +511,7 @@ class ExplainEngine:
         """Execute one micro-batch; returns the number of handles
         resolved (>= ``len(requests)`` when dedup fanned out).
         ``label=None`` requests share one ``classifier.predict`` before
-        the timed section, so ``batch_ms`` and the GDSF cost stay
+        the timed section, so ``batch_ms`` and the per-map cost stay
         explainer time; the call reaches ``result.label``, not the key."""
         method = queue_key[0]
         explainer = self._explainer(method)
@@ -578,9 +553,9 @@ class ExplainEngine:
             with self._method_locks[method]:
                 # Time inside the method lock: a batch that convoyed
                 # behind another batch of its method must not bill the
-                # wait as compute, or the inflated cost skews eviction
-                # priorities and shrinks the adaptive batch limit under
-                # load.
+                # wait as compute, or the inflated cost skews the
+                # weighted hit rate and the store's compaction
+                # priorities under load.
                 start = time.perf_counter()
                 # Replay when a plan exists for this (plan_key, shape,
                 # dtype) key, compile on first sight (billed to this
@@ -591,14 +566,13 @@ class ExplainEngine:
                 results = self._plan_cache.run(explainer, images, labels,
                                                targets)
                 batch_ms = (time.perf_counter() - start) * 1000.0
-        # Measured per-map cost feeds the cost-aware eviction policy
-        # (cache insert below) and the queue's adaptive batch limit.
+        # Measured per-map cost rides both inserts below: it weights the
+        # hit rate, and the store's compaction priority.
         cost_ms = batch_ms / len(requests)
         served = 0
         store_puts: List[Tuple[CacheKey, SaliencyResult]] = []
         with self._lock:
             self.batches_run += 1
-            self._scheduler.observe(queue_key, batch_ms, len(requests))
             for request, result in zip(requests, results):
                 result.image_digest = request.key[0]
                 request.ctx.stamp("computed")
@@ -657,7 +631,7 @@ class ExplainEngine:
             # DeadlineExceeded in the same critical section, so a
             # concurrent result() observes queued -> errored with no
             # futureless limbo in between.  No executor dispatch, no
-            # cache insert, no adaptive-batching observation.
+            # cache insert.
             for request in expired:
                 rctx = request.ctx.stamp("resolved")
                 waited_ms = (rctx.resolved_at
@@ -989,8 +963,8 @@ class ExplainEngine:
         if self._store is not None:
             # Tier 2: a store hit promotes into the memory tier with
             # its *persisted* compute cost (computed=False — nothing
-            # was paid now), so GDSF keeps protecting expensive maps
-            # across the restart that made this probe necessary.
+            # was paid now), so a later tier-1 hit on it still counts
+            # the compute it avoided in the weighted hit rate.
             stored = self._store.get(key, tenant=ctx.tenant)
             if stored is not None:
                 result, stored_cost = stored

@@ -38,7 +38,7 @@ import numpy as np
 
 from .transport import ArenaSlot, ShmArena, TransportStats
 from .worker import (EngineSpec, WorkerBatchError, WorkerCrashed,
-                     decode_results, decode_shm_results, worker_main)
+                     decode_shm_results, worker_main)
 
 
 def default_worker_count(maximum: int = 8) -> int:
@@ -207,12 +207,12 @@ class ProcessExecutor:
     worker mean a second dispatcher thread can encode the next batch
     into the free slot while the worker computes — the dispatcher pool
     is sized ``workers * slots`` so that overlap actually gets a
-    thread.  Arenas grow geometrically on oversized batches; a stale
-    out segment or an oversized reply degrades that one batch to the
-    pipe (see :mod:`repro.serve.worker` for the protocol); the parent
-    owns every segment and unlinks them when a channel is reaped and at
-    ``shutdown``, so neither a worker crash nor a clean exit leaves
-    ``/dev/shm`` entries behind.
+    thread.  Arenas grow geometrically on oversized batches; a slot
+    whose segments the worker reports stale is replaced and its batch
+    resent once (see :mod:`repro.serve.worker` for the protocol); the
+    parent owns every segment and unlinks them when a channel is reaped
+    and at ``shutdown``, so neither a worker crash nor a clean exit
+    leaves ``/dev/shm`` entries behind.
 
     The executor satisfies the engine's two-method contract (``submit``
     -> future, ``shutdown``): submitted callables run on a local
@@ -417,6 +417,16 @@ class ProcessExecutor:
                 channel.replies[reply[1]] = reply
                 channel.rcond.notify_all()
 
+    def _send_batch(self, channel: _WorkerChannel, slot: ArenaSlot,
+                    method: str, images, labels: np.ndarray,
+                    targets: Optional[np.ndarray]):
+        """Write the batch into the slot, send its header, and return
+        the worker's reply."""
+        out_desc, ret_desc = channel.arena.encode(slot, images)
+        self._send(channel, ("shm_batch", slot.index, method, out_desc,
+                             ret_desc, labels, targets))
+        return self._wait_reply(channel, slot.index)
+
     # -- the remote-compute channel the engine duck-types for ----------
     def run_batch(self, method: str, images, labels: np.ndarray,
                   targets: Optional[np.ndarray],
@@ -438,22 +448,21 @@ class ProcessExecutor:
             targets = np.asarray(targets, dtype=np.int64)
         channel, slot = self._acquire()
         try:
-            out_desc, ret_desc = channel.arena.encode(slot, images)
-            self._send(channel, ("shm_batch", slot.index, method, out_desc,
-                                 ret_desc, labels, targets))
-            reply = self._wait_reply(channel, slot.index)
-            pipe_out_bytes = 0
+            reply = self._send_batch(channel, slot, method, images, labels,
+                                     targets)
             if reply[0] == "shm_stale":
-                # The worker could not attach the segment (external
-                # /dev/shm cleanup): resend this one batch inline.
-                self._stats.count_fallback("stale")
-                stacked = np.ascontiguousarray(
-                    images if isinstance(images, np.ndarray)
-                    else np.stack(images), dtype=np.float32)
-                pipe_out_bytes = stacked.nbytes
-                self._send(channel, ("pipe_batch", slot.index, method,
-                                     stacked, labels, targets))
-                reply = self._wait_reply(channel, slot.index)
+                # The worker could not attach the slot's segments (they
+                # were removed from /dev/shm): replace them and resend.
+                self._stats.count_fallback()
+                channel.arena.retire(slot)
+                reply = self._send_batch(channel, slot, method, images,
+                                         labels, targets)
+                if reply[0] == "shm_stale":
+                    raise WorkerBatchError(
+                        method, "FileNotFoundError",
+                        "the worker cannot attach freshly created "
+                        "shared-memory segments either; the process "
+                        "pool needs a writable /dev/shm", "")
             # The receiver already stored the counters (reply[3]).
             kind, _slot, (pid, recv_at, done_at), _counters, *rest = reply
             for ctx in ctxs or ():
@@ -462,19 +471,6 @@ class ProcessExecutor:
                 ctx.worker_done_at = done_at
             if kind == "error":
                 raise WorkerBatchError(*rest)
-            if kind == "ok_pipe":
-                # Inline resend, or a reply stack that outgrew the
-                # return segment (the byte need grows it for next time).
-                batch_ms, payload, ret_need = rest
-                if ret_need:
-                    self._stats.count_fallback("oversize")
-                    channel.arena.note_ret_need(slot, ret_need)
-                saliency = payload[0]
-                ret_bytes = (saliency.nbytes
-                             if isinstance(saliency, np.ndarray)
-                             else sum(m.nbytes for m in saliency))
-                self._stats.count_pipe(pipe_out_bytes + ret_bytes)
-                return decode_results(payload), float(batch_ms)
             batch_ms, ret_shape, out_labels, out_targets, metas = rest
             view = channel.arena.ret_view(slot, ret_shape)
             try:

@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import threading
 import time
 import uuid
@@ -191,6 +192,9 @@ def decode_array(obj, dtype=np.float32) -> np.ndarray:
     if array.ndim != 3:
         raise HttpError(400, "image must be (channels, height, width); "
                              f"got shape {tuple(array.shape)}")
+    if not array.size:
+        raise HttpError(400, "image has an empty dimension; got shape "
+                             f"{tuple(array.shape)}")
     if not np.isfinite(array).all():
         raise HttpError(400, "image contains NaN or infinite values")
     return array
@@ -405,10 +409,13 @@ class ExplainService:
             return RequestContext(priority=priority, tenant=tenant)
         try:
             deadline_ms = float(deadline_ms)
-            if deadline_ms <= 0:
+            # json.loads accepts NaN and Infinity: a NaN deadline would
+            # never expire, and would erase a dedup twin's deadline.
+            if not math.isfinite(deadline_ms) or deadline_ms <= 0:
                 raise ValueError
         except (TypeError, ValueError):
-            raise HttpError(400, "deadline_ms must be a positive number")
+            raise HttpError(400, "deadline_ms must be a positive, finite "
+                                 "number")
         return RequestContext.with_timeout(deadline_ms, priority=priority,
                                            tenant=tenant)
 

@@ -30,13 +30,7 @@ The scheduler owns the pending-request state of the engine runtime:
 * **Deadline expiry** — every pop scans the queues it touches and
   prunes requests whose absolute deadline already passed, returning
   them to the engine *separately* from the batches; they never reach an
-  executor and never feed the adaptive-batching EWMA.
-* **Adaptive micro-batching** — with ``min_batch`` set, every
-  ``(method, shape)`` pair carries its own flush limit that ramps
-  between ``min_batch`` and ``max_batch`` from the observed per-map
-  latency of its recent batches (see :class:`MicroBatchScheduler`).
-  The adaptive state is class-free: priority classes share one latency
-  model because they run the same compute.
+  executor and never bill compute.
 
 The scheduler is *externally synchronized*: the engine calls every
 mutating method under its own lock.  Keeping the lock out of this class
@@ -58,8 +52,8 @@ from .context import PRIORITY_RANK, RequestContext
 #: priority class).
 QueueKey = Tuple[str, Tuple[int, ...], str]
 
-#: Class-free queue family: dedup maps and adaptive-batching state key
-#: on (method, shape) so priority classes share both.
+#: Class-free queue family: dedup maps key on (method, shape) so
+#: priority classes share them.
 BaseKey = Tuple[str, Tuple[int, ...]]
 
 #: The starvation bound: queue wait (ms) that promotes a queue by one
@@ -111,81 +105,23 @@ class MicroBatchScheduler:
     queues in effective-rank order: class rank minus ``wait_ms /
     AGING_MS`` of the queue's oldest request, so ``AGING_MS`` is the
     extra wait a lower class can be dealt per rank step.
-
-    **Adaptive micro-batching** — with ``min_batch`` set, the flush
-    threshold is no longer one global knob: each ``(method, shape)``
-    family carries its own limit that ramps between ``min_batch`` and
-    ``max_batch`` from the observed per-map latency of its recent
-    batches (:meth:`observe`, an EWMA).  A family's limit targets
-    ``target_batch_ms`` of compute per batch: cheap methods (occlusion,
-    CAE) ramp wide and amortise dispatch overhead, while an expensive
-    method (StyLEx, ~1000x a CAE map) settles at small batches so one
-    flush never holds its handles — or a worker — for seconds.  Limits
-    ramp *up* by at most doubling per observed batch (a single lucky
-    timing can't over-commit the next flush) and clamp *down*
-    immediately (tail latency recovers within one batch).
     """
 
     def __init__(self, max_batch: int = 16,
-                 max_delay_ms: Optional[float] = None,
-                 min_batch: Optional[int] = None,
-                 target_batch_ms: float = 200.0):
+                 max_delay_ms: Optional[float] = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if min_batch is not None and not 1 <= min_batch <= max_batch:
-            raise ValueError("min_batch must satisfy "
-                             "1 <= min_batch <= max_batch")
-        if target_batch_ms <= 0:
-            raise ValueError("target_batch_ms must be > 0")
         self.max_batch = max_batch
         self.max_delay_ms = max_delay_ms
-        self.min_batch = min_batch
-        self.target_batch_ms = target_batch_ms
-        self.adaptive = min_batch is not None
         self._queues: Dict[QueueKey, List[ExplainRequest]] = {}
         self._by_key: Dict[BaseKey, Dict[CacheKey, ExplainRequest]] = {}
         #: key -> request for batches popped but not yet completed, so
         #: duplicates arriving while their twin computes still dedup.
         self._inflight: Dict[BaseKey, Dict[CacheKey, ExplainRequest]] = {}
-        #: Adaptive state: per-family flush limit and per-map ms EWMA.
-        self._limits: Dict[BaseKey, int] = {}
-        self._ewma_ms: Dict[BaseKey, float] = {}
         self.dedup_hits = 0
         #: Dedup attaches that moved a queued request to a more urgent
         #: class.
         self.promotions = 0
-
-    # ------------------------------------------------------------------
-    def batch_limit(self, queue_key) -> int:
-        """Current flush threshold of one queue (``max_batch`` when the
-        scheduler is static; ramps from ``min_batch`` when adaptive)."""
-        if not self.adaptive:
-            return self.max_batch
-        return self._limits.get(base_key(queue_key), self.min_batch)
-
-    def batch_limits(self) -> Dict[str, int]:
-        """JSON-friendly ``"method@HxW" -> limit`` snapshot (families
-        that have been observed at least once; others sit at the
-        default)."""
-        return {f"{m}@{'x'.join(str(d) for d in shape)}": limit
-                for (m, shape), limit in sorted(self._limits.items())}
-
-    def observe(self, queue_key, batch_ms: float,
-                batch_size: int) -> None:
-        """Feed one completed batch's wall time back into the family's
-        adaptive limit (no-op for a static scheduler)."""
-        if not self.adaptive or batch_size < 1:
-            return
-        family = base_key(queue_key)
-        per_map = batch_ms / batch_size
-        prev = self._ewma_ms.get(family)
-        ewma = per_map if prev is None else 0.5 * prev + 0.5 * per_map
-        self._ewma_ms[family] = ewma
-        desired = int(self.target_batch_ms / max(ewma, 1e-6))
-        limit = self.batch_limit(queue_key)
-        ramped = min(desired, limit * 2)           # up: at most double
-        self._limits[family] = max(self.min_batch,
-                                   min(ramped, self.max_batch))
 
     # ------------------------------------------------------------------
     def _deadline_hit(self, queue: List[ExplainRequest]) -> bool:
@@ -193,10 +129,8 @@ class MicroBatchScheduler:
                 and (time.monotonic() - queue[0].enqueued_at) * 1000.0
                 >= self.max_delay_ms)
 
-    def _ready(self, queue_key: QueueKey,
-               queue: List[ExplainRequest]) -> bool:
-        return (len(queue) >= self.batch_limit(queue_key)
-                or self._deadline_hit(queue))
+    def _ready(self, queue: List[ExplainRequest]) -> bool:
+        return len(queue) >= self.max_batch or self._deadline_hit(queue)
 
     # ------------------------------------------------------------------
     def enqueue(self, method: str, image: np.ndarray, label: Optional[int],
@@ -229,7 +163,6 @@ class MicroBatchScheduler:
             self.dedup_hits += 1
             self._merge_ctx(request, ctx)
             return request, True, self._ready(
-                request.queue_key,
                 self._queues.get(request.queue_key, []))
         queue_key: QueueKey = (method, tuple(image.shape), ctx.priority)
         queue = self._queues.setdefault(queue_key, [])
@@ -238,7 +171,7 @@ class MicroBatchScheduler:
                                  ctx=ctx, handles=[handle])
         queue.append(request)
         bucket[key] = request
-        return request, False, self._ready(queue_key, queue)
+        return request, False, self._ready(queue)
 
     def _merge_ctx(self, request: ExplainRequest,
                    ctx: RequestContext) -> None:
@@ -282,7 +215,7 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
     def _pop_chunk(self, queue_key: QueueKey) -> List[ExplainRequest]:
         queue = self._queues[queue_key]
-        chunk = queue[:self.batch_limit(queue_key)]
+        chunk = queue[:self.max_batch]
         del queue[:len(chunk)]
         family = base_key(queue_key)
         bucket = self._by_key[family]
@@ -384,7 +317,7 @@ class MicroBatchScheduler:
             expired.extend(self._prune_expired(queue_key, now))
         batches: List[Tuple[QueueKey, List[ExplainRequest]]] = []
         for queue_key in self._pop_order(keys, now):
-            while self._ready(queue_key, self._queues[queue_key]):
+            while self._ready(self._queues[queue_key]):
                 if limit is not None and len(batches) >= limit:
                     return batches, expired
                 batches.append((queue_key, self._pop_chunk(queue_key)))
@@ -416,9 +349,9 @@ class MicroBatchScheduler:
 
     def queue_stats(self) -> Dict[str, Dict[str, float]]:
         """Operator-facing pressure snapshot: per-queue depth, attached
-        handles, age of the oldest request, and the current flush
-        limit, keyed ``"method@HxW#class"``.  Empty queues are elided —
-        depth 0 carries no pressure."""
+        handles and age of the oldest request, keyed
+        ``"method@HxW#class"``.  Empty queues are elided — depth 0
+        carries no pressure."""
         now = time.monotonic()
         out: Dict[str, Dict[str, float]] = {}
         for queue_key, queue in sorted(self._queues.items()):
@@ -431,6 +364,5 @@ class MicroBatchScheduler:
                 "handles": sum(len(r.handles) for r in queue),
                 "oldest_ms": round(
                     (now - queue[0].enqueued_at) * 1000.0, 3),
-                "limit": self.batch_limit(queue_key),
             }
         return out

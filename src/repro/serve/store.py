@@ -3,8 +3,7 @@ disk tier.
 
 The in-memory :class:`~repro.serve.cache.ShardedSaliencyCache` dies
 with the process, so every restart or deploy starts cold and re-pays
-the full explainer cost — exactly the waste GDSF eviction was built to
-avoid.  :class:`SaliencyStore` keeps the tier-1
+the full explainer cost.  :class:`SaliencyStore` keeps the tier-1
 contract warm across process lifetimes:
 
 * **Content-addressed** — keyed on the same ``(image_digest, method,
@@ -33,10 +32,10 @@ contract warm across process lifetimes:
   ``mmap`` and materializes fresh float32 arrays (copy-on-read,
   frozen like tier-1 hits), so concurrent readers share page cache,
   not locks.
-* **GDSF survives restarts** — each record persists the per-map
-  compute cost the runtime measured; a tier-2 hit re-enters the memory
-  tier with its original cost, so cost-aware eviction keeps protecting
-  expensive maps after a restart.
+* **Costs survive restarts** — each record persists the per-map
+  compute cost the runtime measured; it orders compaction below, and a
+  tier-2 hit re-enters the memory tier with its original cost, so the
+  weighted hit rate keeps counting what a later hit avoided.
 * **Whole-segment compaction** — when live segment bytes exceed
   ``capacity_bytes``, the *coldest* sealed segment (lowest summed GDSF
   priority ``clock + cost/size`` over its live records) is compacted:

@@ -1,12 +1,12 @@
 """Zero-copy shared-memory transport for the process pool.
 
 Pickling the float32 image stack out to each worker and the saliency
-stack back through ``multiprocessing.Pipe`` costs four bulk copies per
-batch (pickle out, unpickle in, pickle back, unpickle back) plus the
-intermediate ``np.stack``s on both sides.  The pool instead moves
-payloads through per-worker **double-buffered shared-memory arenas**
-while the pipe carries only small control headers (method, shapes,
-slot id, arena generation, labels):
+stack back through ``multiprocessing.Pipe`` would cost four bulk copies
+per batch (pickle out, unpickle in, pickle back, unpickle back) plus
+the intermediate ``np.stack``s on both sides.  The pool instead moves
+every payload through per-worker **double-buffered shared-memory
+arenas** while the pipe carries only small control headers (method,
+shapes, slot id, arena generation, labels):
 
 * :class:`ShmArena` — the parent-side owner of one worker's slots.
   Each of the two slots holds an *out* segment (the request's image
@@ -15,15 +15,17 @@ slot id, arena generation, labels):
   let the dispatcher encode batch N+1 while the worker still computes
   batch N.  Segments grow geometrically when a batch outgrows them
   (the old segment is unlinked immediately: a slot is only grown while
-  it is free, so no in-flight batch can be using it).
+  it is free, so no in-flight batch can be using it).  A slot whose
+  segments a worker reports stale (removed from ``/dev/shm`` by
+  something else) is retired: both segments are unlinked and the next
+  encode creates fresh ones.
 * :class:`ArenaClient` — the worker-side attachment cache.  Segment
   names embed the slot and an **arena generation**, so a header naming
-  a new generation retires the stale mapping; a header whose segment
-  cannot be attached at all (external ``/dev/shm`` cleanup) reports
-  stale and that one batch is resent inline through the pipe.
+  a new generation retires the stale mapping; a header whose segments
+  cannot be attached at all reports stale before anything is computed.
 * :class:`TransportStats` — counters for ``stats()["transport"]``:
-  bytes moved per path, copies avoided, arena bytes, fallbacks, and
-  overlap occupancy.
+  bytes moved, copies avoided, arena bytes, stale resends
+  (``fallbacks``), and overlap occupancy.
 
 **Resource hygiene**: the parent owns every segment and is the only
 process that ever unlinks one.  Parent-side creation stays registered
@@ -136,8 +138,7 @@ class ArenaSlot:
     ret segment (reply payload), both lazily allocated and geometrically
     grown by the parent."""
 
-    __slots__ = ("index", "generation", "in_use", "out", "ret",
-                 "ret_need")
+    __slots__ = ("index", "generation", "in_use", "out", "ret")
 
     def __init__(self, index: int):
         self.index = index
@@ -145,19 +146,15 @@ class ArenaSlot:
         self.in_use = False
         self.out: Optional[_Segment] = None
         self.ret: Optional[_Segment] = None
-        #: Byte hint from an oversized reply (the worker fell back to
-        #: the pipe and told us how much it needed); honoured at the
-        #: next encode, while the slot is provably free.
-        self.ret_need = 0
 
 
 class ShmArena:
     """Parent-side arena for one worker channel (see module doc).
 
     Externally synchronized for slot accounting: ``acquire``/``release``
-    are called under the executor's pool lock.  ``encode``/``ret_view``
-    touch only the caller's acquired slot, so they run lock-free in the
-    dispatcher thread that owns the batch.
+    are called under the executor's pool lock.  ``encode``/``ret_view``/
+    ``retire`` touch only the caller's acquired slot, so they run
+    lock-free in the dispatcher thread that owns the batch.
     """
 
     def __init__(self, prefix: str, slots: int = 2,
@@ -236,11 +233,9 @@ class ShmArena:
         del view
         # The reply's saliency stack is one (H, W) float32 map per image
         # — never larger than the (C, H, W) inputs — so sizing ret like
-        # out covers every registered method; a method that replies
-        # bigger (oversize meta payloads ride the pipe anyway) falls
-        # back once and leaves a byte hint honoured here next time.
-        ret = self._ensure(slot, "r", max(nbytes, slot.ret_need))
-        slot.ret_need = 0
+        # out covers every registered method; a reply that does not fit
+        # fails its batch in the worker.
+        ret = self._ensure(slot, "r", nbytes)
         self.stats.count_shm_out(nbytes, batch_shape[0])
         return ((out.name, out.size, tuple(batch_shape), "float32"),
                 (ret.name, ret.size))
@@ -252,8 +247,14 @@ class ShmArena:
         assert slot.ret is not None
         return slot.ret.view(tuple(shape), np.float32)
 
-    def note_ret_need(self, slot: ArenaSlot, nbytes: int) -> None:
-        slot.ret_need = max(slot.ret_need, int(nbytes))
+    def retire(self, slot: ArenaSlot) -> None:
+        """Unlink both of the slot's segments, after its worker could
+        not attach them.  The next :meth:`encode` creates fresh ones
+        under a new generation, so the worker attaches new names."""
+        for segment in (slot.out, slot.ret):
+            if segment is not None:
+                segment.destroy()
+        slot.out = slot.ret = None
 
     # -- accounting / lifecycle -----------------------------------------
     def live_bytes(self) -> int:
@@ -314,13 +315,16 @@ class ArenaClient:
         except BufferError:
             self._retired.append(shm)
 
-    def view(self, out_desc: Tuple) -> Optional[np.ndarray]:
-        """Read-only ndarray over the header's out segment, or ``None``
-        when the segment cannot be attached (stale header: the caller
-        reports it and the parent resends the batch inline)."""
+    def attach(self, out_desc: Tuple,
+               ret_desc: Tuple) -> Optional[np.ndarray]:
+        """Attach both segments a header names and return a read-only
+        ndarray over the out segment, or ``None`` when either cannot be
+        attached (stale header: the caller reports it and the parent
+        replaces the slot's segments)."""
         name, _size, shape, dtype = out_desc
         try:
             shm = self._segment(name)
+            self._segment(ret_desc[0])
         except (FileNotFoundError, OSError, ValueError):
             return None
         view = np.ndarray(tuple(shape), dtype=np.dtype(dtype),
@@ -328,31 +332,26 @@ class ArenaClient:
         view.flags.writeable = False
         return view
 
-    def write_ret(self, ret_desc: Tuple, maps: List[np.ndarray]
-                  ) -> Optional[Tuple[int, ...]]:
+    def write_ret(self, ret_desc: Tuple,
+                  maps: List[np.ndarray]) -> Tuple[int, ...]:
         """Write the stacked float32 saliency maps into the reply
-        segment — the shm replacement for ``encode_results``'s
-        ``np.stack`` + pickle.  Returns the stack's shape for the reply
-        header, or ``None`` when the stack does not fit (or shapes are
-        mixed / the segment is unattachable): the caller falls back to
-        the pipe payload, carrying the needed byte count as a growth
-        hint.
-        """
-        if not maps:
-            return None
-        first = maps[0].shape
-        if any(m.shape != first for m in maps[1:]):
-            return None
-        shape = (len(maps),) + tuple(first)
+        segment :meth:`attach` mapped, and return the stack's shape for
+        the reply header.  Raises ``ValueError`` naming the shapes when
+        the maps do not stack (mixed shapes) or the stack does not fit
+        the segment."""
+        shapes = sorted({m.shape for m in maps})
+        if len(shapes) > 1:
+            raise ValueError(f"reply maps have mixed shapes {shapes}; "
+                             "the return segment holds one stack")
+        shape = (len(maps),) + (shapes[0] if shapes else ())
         nbytes = int(np.prod(shape, dtype=np.int64)) * 4
         name, size = ret_desc
         if nbytes > size:
-            return None
-        try:
-            shm = self._segment(name)
-        except (FileNotFoundError, OSError, ValueError):
-            return None
-        view = np.ndarray(shape, dtype=np.float32, buffer=shm.buf)
+            raise ValueError(
+                f"reply stack {shape} float32 needs {nbytes} bytes; the "
+                f"return segment holds {size}")
+        view = np.ndarray(shape, dtype=np.float32,
+                          buffer=self._segment(name).buf)
         for i, saliency in enumerate(maps):
             np.copyto(view[i], saliency, casting="unsafe")
         del view
@@ -377,13 +376,11 @@ class TransportStats:
         self.sends = 0
         self.overlapped_sends = 0
         self.shm_batches = 0
-        self.pipe_batches = 0
         self.shm_bytes_out = 0
         self.shm_bytes_ret = 0
-        self.pipe_payload_bytes = 0
         self.copies_avoided = 0
-        self.fallbacks_stale = 0
-        self.fallbacks_oversize = 0
+        #: Batches resent after their worker reported the slot stale.
+        self.fallbacks = 0
         self.grows = 0
 
     def count_send(self, overlapped: bool) -> None:
@@ -396,28 +393,20 @@ class TransportStats:
         with self._lock:
             self.shm_bytes_out += nbytes
             # Each image skipped the intermediate stack copy and the
-            # pickle/unpickle pair it cost on the pipe.
+            # pickle/unpickle pair it would cost on the pipe.
             self.copies_avoided += n_images
 
     def count_shm_ret(self, nbytes: int, n_maps: int) -> None:
         with self._lock:
             self.shm_bytes_ret += nbytes
             self.shm_batches += 1
-            # Each map skipped encode_results's np.stack plus the
+            # Each map skipped a reply-side np.stack plus the
             # pickle/unpickle pair.
             self.copies_avoided += n_maps
 
-    def count_pipe(self, payload_bytes: int) -> None:
+    def count_fallback(self) -> None:
         with self._lock:
-            self.pipe_batches += 1
-            self.pipe_payload_bytes += payload_bytes
-
-    def count_fallback(self, kind: str) -> None:
-        with self._lock:
-            if kind == "stale":
-                self.fallbacks_stale += 1
-            else:
-                self.fallbacks_oversize += 1
+            self.fallbacks += 1
 
     def count_grow(self) -> None:
         with self._lock:
@@ -429,16 +418,11 @@ class TransportStats:
             return {
                 "sends": sends,
                 "shm_batches": self.shm_batches,
-                "pipe_batches": self.pipe_batches,
                 "shm_bytes_out": self.shm_bytes_out,
                 "shm_bytes_ret": self.shm_bytes_ret,
                 "shm_bytes_moved": self.shm_bytes_out + self.shm_bytes_ret,
-                "pipe_payload_bytes": self.pipe_payload_bytes,
                 "copies_avoided": self.copies_avoided,
-                "fallbacks": (self.fallbacks_stale
-                              + self.fallbacks_oversize),
-                "fallbacks_stale": self.fallbacks_stale,
-                "fallbacks_oversize": self.fallbacks_oversize,
+                "fallbacks": self.fallbacks,
                 "arena_grows": self.grows,
                 "arena_bytes": arena_bytes,
                 "overlapped_sends": self.overlapped_sends,

@@ -9,18 +9,16 @@ Three pieces live here, all deliberately free of any engine state:
   factory is either a module-level callable or an ``"module:attr"``
   string, and returns either an ``{name: Explainer}`` mapping or a
   ``(classifier, explainers)`` pair.
-* **Result codec** — :func:`encode_results` / :func:`decode_results`
-  pack a reply that travels through the pipe as one stacked saliency
-  array plus per-map labels/targets/meta, and :func:`decode_shm_results`
-  rebuilds results from a worker-written return segment.  No
-  :class:`~repro.explain.base.SaliencyResult` object crosses a process
-  boundary as a live reference — the parent reconstructs fresh ones,
-  so cache freezing and digest stamping keep working unchanged.
+* :func:`decode_shm_results` rebuilds results from a worker-written
+  return segment.  No :class:`~repro.explain.base.SaliencyResult`
+  object crosses a process boundary as a live reference — the parent
+  reconstructs fresh ones, so cache freezing and digest stamping keep
+  working unchanged.
 * :func:`worker_main` — the worker loop: handshake (``ready`` /
   ``init_error``), then batch / ``stop`` messages until the parent
   hangs up.  Each batch is timed *inside the worker* (pure compute, no
   pipe or convoy time), and the measured per-map cost rides back for
-  the engine's cost-aware cache and adaptive batch limits.
+  the engine's cost accounting.
   Methods whose replica sets ``needs_gradients = False`` run under
   ``nn.no_grad()`` in the worker, exactly as the in-process engine
   would run them.
@@ -33,23 +31,21 @@ The protocol (payloads live in the shared-memory arenas of
                labels, targets)
     worker -> ("ok_shm", slot, stamps, counters, batch_ms, ret_shape,
                labels, targets, metas)
-            | ("ok_pipe", slot, stamps, counters, batch_ms, payload,
-               ret_need)
             | ("error", slot, stamps, counters, method, exc_type,
                message, tb)
             | ("shm_stale", slot)
-    parent -> ("pipe_batch", slot, method, images, labels, targets)
-            | ("stop",)
+    parent -> ("stop",)
 
 ``stamps`` is ``(pid, recv_at, done_at)`` on the system-wide monotonic
 clock.  ``counters`` is the worker's cumulative ``{batches, maps,
 plans}`` (``plans``: its ``PlanCache`` stats), so the parent always
-holds the latest ones without asking.  A header whose out segment
-cannot be attached (external ``/dev/shm`` cleanup) is answered
-``shm_stale`` and the parent resends that one batch inline as
-``pipe_batch``; its reply, and a reply stack that outgrows the return
-segment, come back as ``ok_pipe`` — the latter with the byte count the
-parent turns into a growth hint.
+holds the latest ones without asking.  The worker attaches both of a
+header's segments before computing; when either cannot be attached
+(removed from ``/dev/shm`` by something else) it computes nothing and
+answers ``shm_stale``, and the parent replaces the slot's segments and
+resends the batch once.  A reply stack that does not fit its return
+segment (mixed shapes, or maps larger than the images) is an
+``error`` reply naming the shapes, and that batch is not counted.
 
 :func:`demo_spec` builds a small untrained-classifier spec used by the
 serving benchmark, the process-executor tests, and the docs; its
@@ -70,8 +66,7 @@ from typing import Callable, Dict, List, Tuple, Union
 import numpy as np
 
 __all__ = ["EngineSpec", "WorkerCrashed", "WorkerBatchError",
-           "worker_main", "demo_spec",
-           "encode_results", "decode_results", "decode_shm_results"]
+           "worker_main", "demo_spec", "decode_shm_results"]
 
 
 class WorkerCrashed(RuntimeError):
@@ -140,38 +135,12 @@ class EngineSpec:
 
 
 # ----------------------------------------------------------------------
-# Result codec: what crosses the pipe when a reply cannot use the arena.
-def encode_results(results: List) -> Tuple:
-    """Pack a batch's results: one stacked saliency array (the compact
-    common case) plus per-map labels/targets/meta.  Mixed-shape maps —
-    not produced by any registered method, but legal — fall back to a
-    list of arrays."""
-    maps = [np.asarray(r.saliency) for r in results]
-    try:
-        saliency = np.stack(maps)
-    except ValueError:                     # mixed shapes: ship the list
-        saliency = maps
-    labels = [int(r.label) for r in results]
-    targets = [r.target_label for r in results]
-    metas = [r.meta for r in results]
-    return (saliency, labels, targets, metas)
-
-
-def decode_results(payload: Tuple) -> List:
-    from ..explain.base import SaliencyResult
-    saliency, labels, targets, metas = payload
-    return [SaliencyResult(np.array(saliency[i]), labels[i],
-                           target_label=targets[i], meta=metas[i])
-            for i in range(len(labels))]
-
-
 def decode_shm_results(view: np.ndarray, labels: List, targets: List,
                        metas: List) -> List:
     """Rebuild :class:`SaliencyResult`\\ s from a worker-written return
-    segment: the shm counterpart of :func:`decode_results`.  Each map is
-    copied out of the arena view (the slot is recycled for the next
-    batch the moment the caller releases it, so results must own their
-    memory)."""
+    segment.  Each map is copied out of the arena view (the slot is
+    recycled for the next batch the moment the caller releases it, so
+    results must own their memory)."""
     from ..explain.base import SaliencyResult
     return [SaliencyResult(np.array(view[i]), labels[i],
                            target_label=targets[i], meta=metas[i])
@@ -181,10 +150,10 @@ def decode_shm_results(view: np.ndarray, labels: List, targets: List,
 # ----------------------------------------------------------------------
 def worker_main(conn, spec: EngineSpec) -> None:
     """Worker-process entry point: materialize the spec once, then
-    serve ``shm_batch`` / ``pipe_batch`` / ``stop`` messages (see the
-    module docstring) until the parent hangs up.  Runs single-threaded
-    in its own interpreter, so there is no GIL to share with the parent
-    or with sibling workers.
+    serve ``shm_batch`` / ``stop`` messages (see the module docstring)
+    until the parent hangs up.  Runs single-threaded in its own
+    interpreter, so there is no GIL to share with the parent or with
+    sibling workers.
 
     Each worker holds its own :class:`~repro.serve.plans.PlanCache`:
     plans compile **per replica** (buffer arenas cannot cross process
@@ -223,19 +192,13 @@ def worker_main(conn, spec: EngineSpec) -> None:
             # on Linux, so the parent can compare it with its own
             # dispatch stamps on the same host).
             recv_at = time.monotonic()
-            kind = message[0]
-            if kind == "stop":
+            if message[0] == "stop":
                 break
-            if kind == "shm_batch":
-                _, slot, method, out_desc, ret_desc, labels, targets = \
-                    message
-                images = arena.view(out_desc)
-                if images is None:         # stale segment: parent resends
-                    conn.send(("shm_stale", slot))
-                    continue
-            else:                          # "pipe_batch": inline resend
-                _, slot, method, images, labels, targets = message
-                ret_desc = None
+            _, slot, method, out_desc, ret_desc, labels, targets = message
+            images = arena.attach(out_desc, ret_desc)
+            if images is None:             # stale segment: parent resends
+                conn.send(("shm_stale", slot))
+                continue
             try:
                 start = time.perf_counter()
                 # Plan replay when this replica has compiled the key;
@@ -244,6 +207,9 @@ def worker_main(conn, spec: EngineSpec) -> None:
                 results = plan_cache.run(explainers[method], images,
                                          labels, targets)
                 batch_ms = (time.perf_counter() - start) * 1000.0
+                ret_shape = arena.write_ret(
+                    ret_desc, [np.asarray(r.saliency, dtype=np.float32)
+                               for r in results])
             except BaseException as exc:   # noqa: BLE001 — ship it back
                 conn.send(("error", slot, (pid, recv_at, time.monotonic()),
                            counters(), method, type(exc).__name__,
@@ -253,25 +219,9 @@ def worker_main(conn, spec: EngineSpec) -> None:
                 del images                 # release the arena view
             batches += 1
             maps += len(results)
-            maps_out = [np.asarray(r.saliency, dtype=np.float32)
-                        for r in results]
-            ret_shape = (arena.write_ret(ret_desc, maps_out)
-                         if ret_desc is not None else None)
-            stamps = (pid, recv_at, time.monotonic())
-            if ret_shape is None:
-                # Inline resend, or a reply that outgrew the return
-                # segment (or has mixed shapes): ship the pickle once,
-                # with the byte count the parent turns into a growth
-                # hint (0 when no single segment size would help).
-                first = maps_out[0].shape if maps_out else ()
-                uniform = all(m.shape == first for m in maps_out)
-                need = (len(maps_out) * int(np.prod(first, dtype=np.int64))
-                        * 4 if ret_desc is not None and uniform else 0)
-                conn.send(("ok_pipe", slot, stamps, counters(), batch_ms,
-                           encode_results(results), need))
-                continue
-            conn.send(("ok_shm", slot, stamps, counters(), batch_ms,
-                       ret_shape, [int(r.label) for r in results],
+            conn.send(("ok_shm", slot, (pid, recv_at, time.monotonic()),
+                       counters(), batch_ms, ret_shape,
+                       [int(r.label) for r in results],
                        [r.target_label for r in results],
                        [r.meta for r in results]))
     finally:

@@ -116,21 +116,6 @@ class CountingClassifier:
         return self.inner.predict(images)
 
 
-def force_pipe_replies(monkeypatch) -> None:
-    """Make every process-pool batch for the rest of the test reply
-    through the pipe leg (``ok_pipe``): the parent advertises an 8-byte
-    return segment, so no worker reply fits in the arena."""
-    from repro.serve.transport import ShmArena
-
-    encode = ShmArena.encode
-
-    def tiny_ret(self, slot, images):
-        out_desc, (name, _size) = encode(self, slot, images)
-        return out_desc, (name, 8)
-
-    monkeypatch.setattr(ShmArena, "encode", tiny_ret)
-
-
 def numeric_grad(f, x, eps=1e-6):
     """Central-difference gradient of scalar-valued f wrt array x.
 

@@ -1,6 +1,5 @@
 """Tests for the admission-controlled serving runtime: ``max_pending``
-backpressure (block vs reject), adaptive per-queue micro-batching, and
-cost-aware (GDSF) cache eviction."""
+backpressure (block vs reject) and frozen cache entries."""
 
 import threading
 
@@ -9,17 +8,11 @@ import pytest
 from conftest import FlakyExplainer, GatedExplainer, StubExplainer
 
 from repro.explain.base import SaliencyResult
-from repro.serve import (EngineOverloaded, ExplainEngine,
-                         MicroBatchScheduler, SaliencyCache,
-                         ShardedSaliencyCache)
+from repro.serve import EngineOverloaded, ExplainEngine, SaliencyCache
 
 
 def _img(i: int, side: int = 4) -> np.ndarray:
     return np.full((1, side, side), float(i), dtype=np.float32)
-
-
-def _result(value: float = 1.0) -> SaliencyResult:
-    return SaliencyResult(np.full((4, 4), value), 0)
 
 
 class TestBlockPolicy:
@@ -221,145 +214,6 @@ class TestRejectPolicy:
             ExplainEngine(None, {"stub": StubExplainer()}, max_pending=0)
         with pytest.raises(ValueError, match="admission policy"):
             ExplainEngine(None, {"stub": StubExplainer()}, policy="shrug")
-
-
-class TestAdaptiveBatching:
-    def test_limit_ramps_up_by_doubling_to_max(self):
-        sched = MicroBatchScheduler(max_batch=32, min_batch=2,
-                                    target_batch_ms=100.0)
-        qk = ("cheap", (1, 4, 4))
-        assert sched.batch_limit(qk) == 2
-        limits = []
-        for _ in range(5):
-            # 1 ms per map: the desired batch is 100 maps, far above
-            # the ceiling — the ramp must double, then clamp at max.
-            sched.observe(qk, batch_ms=float(sched.batch_limit(qk)),
-                          batch_size=sched.batch_limit(qk))
-            limits.append(sched.batch_limit(qk))
-        assert limits == [4, 8, 16, 32, 32]
-
-    def test_limit_clamps_down_to_min_on_expensive_batches(self):
-        sched = MicroBatchScheduler(max_batch=32, min_batch=2,
-                                    target_batch_ms=100.0)
-        qk = ("stylex", (1, 4, 4))
-        for _ in range(5):
-            sched.observe(qk, batch_ms=float(sched.batch_limit(qk)),
-                          batch_size=sched.batch_limit(qk))
-        assert sched.batch_limit(qk) == 32
-        # One observed expensive batch (10 s per map) pulls the limit
-        # straight back to the floor — no slow multiplicative decay.
-        sched.observe(qk, batch_ms=10_000.0 * 32, batch_size=32)
-        assert sched.batch_limit(qk) == 2
-
-    def test_limits_are_per_queue(self):
-        sched = MicroBatchScheduler(max_batch=16, min_batch=1,
-                                    target_batch_ms=10.0)
-        cheap = ("occlusion", (1, 4, 4))
-        pricey = ("stylex", (1, 4, 4))
-        for _ in range(4):
-            sched.observe(cheap, batch_ms=0.1, batch_size=1)
-            sched.observe(pricey, batch_ms=100.0, batch_size=1)
-        assert sched.batch_limit(cheap) == 16
-        assert sched.batch_limit(pricey) == 1
-        assert set(sched.batch_limits()) == {"occlusion@1x4x4",
-                                             "stylex@1x4x4"}
-
-    def test_static_scheduler_ignores_observations(self):
-        sched = MicroBatchScheduler(max_batch=8)
-        qk = ("m", (1, 4, 4))
-        sched.observe(qk, batch_ms=1e6, batch_size=1)
-        assert sched.batch_limit(qk) == 8
-        assert sched.batch_limits() == {}
-
-    def test_invalid_adaptive_config_rejected(self):
-        with pytest.raises(ValueError, match="min_batch"):
-            MicroBatchScheduler(max_batch=4, min_batch=8)
-        with pytest.raises(ValueError, match="target_batch_ms"):
-            MicroBatchScheduler(max_batch=4, min_batch=2,
-                                target_batch_ms=0.0)
-
-    def test_engine_cheap_queue_ramps_wide(self):
-        stub = StubExplainer()
-        engine = ExplainEngine(None, {"stub": stub}, max_batch=8,
-                               min_batch=1, target_batch_ms=500.0)
-        handles = [engine.submit_async(_img(i), 0, "stub")
-                   for i in range(24)]
-        engine.drain()
-        assert all(h.done for h in handles)
-        stats = engine.stats()
-        # Instant maps: the queue's limit must have ramped to the
-        # ceiling, so far fewer batches ran than requests were served.
-        assert stats["batch_limits"]["stub@1x4x4"] == 8
-        assert stats["batches_run"] < 24
-
-    def test_engine_expensive_queue_stays_small(self):
-        pricey = StubExplainer(sleep_ms=10.0)
-        pricey.name = "pricey"
-        engine = ExplainEngine(None, {"pricey": pricey}, max_batch=8,
-                               min_batch=1, target_batch_ms=15.0)
-        for i in range(6):
-            engine.submit_async(_img(i), 0, "pricey")
-        engine.drain()
-        # ~10 ms per map against a 15 ms budget: batches must stay at
-        # one map each, bounding each flush's tail latency.
-        assert engine.stats()["batch_limits"]["pricey@1x4x4"] == 1
-        assert engine.stats()["batches_run"] == 6
-
-
-class TestCostAwareEviction:
-    def test_cost_policy_keeps_expensive_entry_under_pressure(self):
-        pricey_key = ("pricey", "stylex", 0, None)
-        flood = [(f"cheap{i}", "cae", 0, None) for i in range(20)]
-
-        survivors = {}
-        for policy in ("lru", "cost"):
-            cache = SaliencyCache(capacity=4, policy=policy)
-            cache.put(pricey_key, _result(), cost_ms=1000.0)
-            for key in flood:
-                cache.put(key, _result(), cost_ms=0.5)
-            survivors[policy] = pricey_key in cache
-        assert survivors["cost"] is True      # GDSF priority kept it
-        assert survivors["lru"] is False      # recency-only evicted it
-
-    def test_cost_policy_clock_ages_stale_entries_out(self):
-        cache = SaliencyCache(capacity=2, policy="cost")
-        stale = ("stale", "m", 0, None)
-        cache.put(stale, _result(), cost_ms=10.0)
-        # Keep inserting moderately-costed keys; every eviction ratchets
-        # the clock, so even a higher-cost entry is eventually evictable
-        # once enough priority mass has passed through the shard.
-        for i in range(300):
-            cache.put((f"k{i}", "m", 0, None), _result(), cost_ms=5.0)
-        assert stale not in cache
-
-    def test_sharded_cache_threads_policy_and_cost(self):
-        cache = ShardedSaliencyCache(capacity=8, shards=2, policy="cost")
-        assert cache.stats()["policy"] == "cost"
-        cache.put(("d0", "m", 0, None), _result(), cost_ms=3.0)
-        assert cache.get(("d0", "m", 0, None)) is not None
-
-    def test_engine_cost_eviction_survives_cheap_flood(self):
-        results = {}
-        for eviction in ("lru", "cost"):
-            pricey = StubExplainer(sleep_ms=20.0)
-            pricey.name = "pricey"
-            cheap = StubExplainer()
-            cheap.name = "cheap"
-            engine = ExplainEngine(None,
-                                   {"pricey": pricey, "cheap": cheap},
-                                   max_batch=4, cache_size=4,
-                                   eviction=eviction)
-            engine.explain(_img(0), 0, "pricey")      # cached, costed
-            for i in range(1, 17):                    # cheap flood
-                engine.explain(_img(i), 0, "cheap")
-            engine.explain(_img(0), 0, "pricey")      # revisit
-            results[eviction] = pricey.computed
-        assert results["cost"] == 1    # revisit was a cache hit
-        assert results["lru"] == 2     # flood evicted it: recomputed
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError, match="eviction policy"):
-            SaliencyCache(capacity=4, policy="fifo")
 
 
 class TestFrozenCacheEntries:

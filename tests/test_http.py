@@ -427,6 +427,7 @@ class TestHttpErrorPaths:
     def test_bad_image_priority_deadline_mode_400(self, stack):
         daemon, client = stack
         img = encode_array(_img(0, 8))
+        empty = {"shape": [1, 0, 0], "dtype": "float32", "b64": ""}
         cases = [
             {"method": "gradcam", "image": "zzz"},
             {"method": "gradcam", "image": img, "priority": "zzz"},
@@ -435,10 +436,30 @@ class TestHttpErrorPaths:
             {"method": "gradcam", "image": img, "label": "x"},
             {"method": "gradcam",
              "image": encode_array(np.zeros((3, 8, 8), np.float32))},
+            # An empty image must not reach compute, in any form.
+            {"method": "gradcam", "image": empty},
+            {"method": "occlusion", "image": empty},
+            {"method": "occlusion", "image": {"shape": [1, 1, 0],
+                                              "data": [[[]]]}},
+            {"method": "occlusion", "image": [[[]]]},
+            # json.loads accepts NaN and Infinity.
+            {"method": "gradcam", "image": img, "deadline_ms": float("nan")},
+            {"method": "gradcam", "image": img, "deadline_ms": float("inf")},
         ]
+        before = daemon.engine.stats()
         for payload in cases:
-            status, _, _ = client("POST", "/v1/explain", payload)
+            status, body, _ = client("POST", "/v1/explain", payload)
             assert status == 400, payload
+        status, body, _ = client("POST", "/v1/explain",
+                                 {"method": "gradcam", "image": empty})
+        assert "(1, 0, 0)" in body["error"]
+        status, _, _ = client("POST", "/v1/batch",
+                              {"method": "gradcam", "images": [img, empty],
+                               "labels": [0, 0]})
+        assert status == 400
+        after = daemon.engine.stats()
+        assert after["batches_run"] == before["batches_run"]
+        assert after["cache_inserts"] == before["cache_inserts"]
 
     def test_unknown_encoding_400_before_any_compute(self, stack):
         daemon, client = stack

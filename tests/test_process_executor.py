@@ -1,6 +1,6 @@
 """Tests for the process-pool serving executor: spec replication,
-payload codec, serial-parity, cross-process dedup, failure isolation
-and lifecycle (worker death, clean shutdown, handle conservation)."""
+serial-parity, cross-process dedup, failure isolation and lifecycle
+(worker death, clean shutdown, handle conservation)."""
 
 import os
 import threading
@@ -13,8 +13,7 @@ from conftest import CountingClassifier
 from repro.serve import (EngineOverloaded, EngineSpec, ExplainEngine,
                          ProcessExecutor, WorkerBatchError, WorkerCrashed,
                          demo_spec, make_executor)
-from repro.serve.worker import (_demo_explainers, decode_results,
-                                encode_results)
+from repro.serve.worker import _demo_explainers
 
 
 def _images(n: int, side: int = 16, channels: int = 1) -> np.ndarray:
@@ -79,20 +78,6 @@ class TestEngineSpec:
         with pytest.raises(KeyError, match="no methods"):
             demo_spec(("nope",)).materialize()
 
-    def test_result_codec_round_trip(self):
-        from repro.explain.base import SaliencyResult
-        results = [SaliencyResult(np.arange(16, dtype=np.float32)
-                                  .reshape(4, 4), 1, target_label=0,
-                                  meta={"bias": np.ones(3)}),
-                   SaliencyResult(np.zeros((4, 4), dtype=np.float32), 0)]
-        decoded = decode_results(encode_results(results))
-        assert len(decoded) == 2
-        np.testing.assert_array_equal(decoded[0].saliency,
-                                      results[0].saliency)
-        assert decoded[0].label == 1 and decoded[0].target_label == 0
-        np.testing.assert_array_equal(decoded[0].meta["bias"], np.ones(3))
-        assert decoded[1].target_label is None
-
     def test_make_executor_process_requires_spec(self):
         with pytest.raises(ValueError, match="EngineSpec"):
             make_executor("process")
@@ -145,7 +130,7 @@ class TestProcessExecutor:
         # The sleeper costs ~100 ms/map *inside the worker*; the cost
         # recorded at insert must reflect that compute, which only
         # works if the worker's own clock rides back with the payload.
-        engine = _engine(pool, cache_size=64, eviction="cost")
+        engine = _engine(pool, cache_size=64)
         handle = engine.submit(_images(1)[0], 0, "slow")
         handle.result()
         shard = engine.cache._shard(next(iter(

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import GatedExplainer, StubExplainer, force_pipe_replies
+from conftest import GatedExplainer, StubExplainer
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -277,7 +277,6 @@ class TestStats:
         inter = stats["m@1x4x4#interactive"]
         assert inter["depth"] == 2 and inter["handles"] == 2
         assert inter["oldest_ms"] >= 0.0
-        assert inter["limit"] == 8
         assert sched.queue_stats() != {} and sched.pop_batches()
         assert sched.queue_stats() == {}   # empty queues are elided
 
@@ -336,13 +335,9 @@ class TestStats:
 # Worker stamps on process-pool replies
 # ----------------------------------------------------------------------
 class TestTransportCarriage:
-    @pytest.mark.parametrize("leg", ["pipe", "shm"])
-    def test_worker_stamps_ride_both_transports(self, leg, monkeypatch):
-        """Both reply legs — over the arena (``ok_shm``) and over the
-        pipe (``ok_pipe``) — carry the worker's stamps, and run_batch
-        applies them to the contexts it was given."""
-        if leg == "pipe":
-            force_pipe_replies(monkeypatch)
+    def test_worker_stamps_ride_the_reply(self):
+        """The batch reply (``ok_shm``) carries the worker's stamps, and
+        run_batch applies them to the contexts it was given."""
         executor = ProcessExecutor(demo_spec(("gradcam",), width=8),
                                    workers=1)
         try:
@@ -363,11 +358,7 @@ class TestTransportCarriage:
             # Without contexts the same protocol runs; nothing to stamp.
             bare, _ = executor.run_batch("gradcam", images, labels, None)
             assert len(bare) == 2
-            stats = executor.transport_stats()
-            if leg == "pipe":
-                assert stats["fallbacks_oversize"] == 2
-            else:
-                assert stats["shm_batches"] == 2
+            assert executor.transport_stats()["shm_batches"] == 2
             (worker,) = executor.worker_stats()
             assert worker["maps"] == 4
         finally:

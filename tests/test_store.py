@@ -8,11 +8,11 @@ import os
 
 import numpy as np
 import pytest
-from conftest import CountingClassifier
+from conftest import CountingClassifier, StubExplainer
 
 from repro.explain.base import Explainer, SaliencyResult
 from repro.serve import (ExplainEngine, ProcessExecutor, SaliencyCache,
-                         SaliencyStore, StoreClosed, demo_spec)
+                         SaliencyStore, StoreClosed, demo_spec, request_key)
 
 
 def _result(i: int, side: int = 8) -> SaliencyResult:
@@ -357,6 +357,38 @@ class TestEngineWarmRestart:
         np.testing.assert_allclose(warm.saliency, first.saliency,
                                    rtol=2e-3, atol=2e-3)
 
+    def test_promotion_evicts_least_recently_used_even_if_pricier(
+            self, tmp_path):
+        """Tier 1 is LRU: a tier-2 promotion into a full tier 1 evicts
+        the least recently used map, even when its persisted compute
+        cost is the highest in the cache."""
+        directory = str(tmp_path / "store")
+        images = _images(3)
+        plan = [("pricey", 0), ("cheap", 1), ("cheap", 2)]
+        keys = [request_key(images[i], method, 0, None)
+                for method, i in plan]
+
+        def engine() -> ExplainEngine:
+            pricey, cheap = StubExplainer(sleep_ms=30.0), StubExplainer()
+            pricey.name, cheap.name = "pricey", "cheap"
+            return ExplainEngine(None, {"pricey": pricey, "cheap": cheap},
+                                 cache_size=2, store=directory)
+
+        with engine() as first:
+            for method, i in plan:
+                first.explain(images[i], 0, method)
+        with engine() as warm:
+            for method, i in plan[:2]:
+                warm.explain(images[i], 0, method)
+            costs = [warm.cache._shard(k)._cost[k] for k in keys[:2]]
+            assert costs[0] > costs[1]     # the persisted costs rode in
+            warm.explain(images[2], 0, "cheap")
+            assert keys[0] not in warm.cache
+            assert keys[1] in warm.cache and keys[2] in warm.cache
+            stats = warm.stats()
+            assert stats["store_served"] == 3
+            assert stats["cache_evictions"] == 1
+
     def test_engine_without_store_reports_none(self):
         with ExplainEngine(None, {"stub": CountingStub()},
                            max_batch=2) as engine:
@@ -383,8 +415,8 @@ class TestCacheRates:
     def test_uncomputed_inserts_do_not_bill_compute(self):
         cache = SaliencyCache(capacity=8)
         # A tier-2 promotion paid no compute now: the persisted cost
-        # rides the entry (for eviction and future hit credit) but the
-        # insert itself adds nothing to the requested-compute base.
+        # rides the entry (for future hit credit) but the insert itself
+        # adds nothing to the requested-compute base.
         cache.put(_key(1), _result(1), cost_ms=40.0, computed=False)
         assert cache.insert_cost_ms == 0.0
         assert cache.get(_key(1)) is not None

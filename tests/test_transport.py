@@ -1,8 +1,8 @@
 """Shared-memory transport suite: pool-vs-in-process parity across
-every Table II method (over the arena and over the pipe leg), arena
-growth and generation retirement, the stale/oversize/error legs of the
-pool protocol, worker-crash recovery, and — the resource contract —
-zero leaked ``/dev/shm`` segments after shutdown *or* crash.
+every Table II method, arena growth and generation retirement, the
+stale-slot, reply-fit and error legs of the pool protocol, worker-crash
+recovery, and — the resource contract — zero leaked ``/dev/shm``
+segments after shutdown *or* crash.
 """
 
 import glob
@@ -12,7 +12,6 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import force_pipe_replies
 
 from repro import nn
 from repro.explain import (CAEExplainer, FullGradExplainer, GradCAMExplainer,
@@ -22,9 +21,9 @@ from repro.explain import (CAEExplainer, FullGradExplainer, GradCAMExplainer,
                            TABLE2_METHODS, TSCAMExplainer, train_icam,
                            train_lagan, train_stylex, train_tscam)
 from repro.serve import (EngineSpec, ExplainEngine, ProcessExecutor,
-                         WorkerCrashed, demo_spec)
-from repro.serve.transport import ShmArena, segment_base
-from repro.serve.worker import decode_results, worker_main
+                         WorkerBatchError, WorkerCrashed, demo_spec)
+from repro.serve.transport import ArenaClient, ShmArena, segment_base
+from repro.serve.worker import worker_main
 
 from test_explain_batch import assert_saliency_close
 from transport_spec_util import CrashOnMarker
@@ -79,20 +78,28 @@ class TestArenaGrowth:
         _assert_no_leaks(["rtxtest-growth"])
         arena.close()                      # idempotent
 
-    def test_ret_need_hint_grows_return_segment(self):
-        arena = ShmArena("rtxtest-hint", slots=1, initial_bytes=4096)
+    def test_retire_unlinks_both_segments_and_renames(self):
+        arena = ShmArena("rtxtest-retire", slots=1, initial_bytes=4096)
         try:
             slot = arena.acquire()
-            arena.encode(slot, _images(2, side=8))
-            before = slot.ret.size
-            arena.release(slot)
-            slot = arena.acquire()
-            arena.note_ret_need(slot, before * 8)
-            _, (_, ret_size) = arena.encode(slot, _images(2, side=8))
-            assert ret_size >= before * 8
+            out_desc, ret_desc = arena.encode(slot, _images(2, side=8))
+            old = [out_desc[0], ret_desc[0]]
+            arena.retire(slot)
+            assert slot.out is None and slot.ret is None
+            assert arena.live_bytes() == 0
+            _assert_no_leaks(["rtxtest-retire"])
+            out_desc, ret_desc = arena.encode(slot, _images(2, side=8))
+            new = [out_desc[0], ret_desc[0]]
+            # Same slot and directions, fresh generations: the worker's
+            # attachment cache retires the old mappings by name.
+            assert ([segment_base(n) for n in new]
+                    == [segment_base(n) for n in old])
+            assert not set(new) & set(old)
+            if _HAVE_DEV_SHM:
+                assert len(_segments("rtxtest-retire")) == 2
         finally:
             arena.close()
-        _assert_no_leaks(["rtxtest-hint"])
+        _assert_no_leaks(["rtxtest-retire"])
 
 
 @pytest.fixture(scope="module")
@@ -165,22 +172,16 @@ def parity_batch(tiny_train_set):
 
 
 class TestPipeShmParity:
-    """Every method through the pool — once over the arena (``ok_shm``)
-    and once over the pipe leg (``ok_pipe``) — matches the in-process
-    reference."""
+    """Every method through the pool's arenas (``ok_shm``) matches the
+    in-process reference."""
 
     @pytest.mark.parametrize("name", TABLE2_METHODS + ("occlusion",))
-    def test_parity(self, table2_pool, parity_batch, name, monkeypatch):
+    def test_parity(self, table2_pool, parity_batch, name):
         pool, reference = table2_pool
         images, labels = parity_batch
         want = _in_process(reference[name], images, labels)
         via_shm, _ = pool.run_batch(name, images, labels, None)
-        oversize = pool.transport_stats()["fallbacks_oversize"]
-        force_pipe_replies(monkeypatch)
-        via_pipe, _ = pool.run_batch(name, images, labels, None)
-        assert pool.transport_stats()["fallbacks_oversize"] == oversize + 1
         _assert_same_maps(via_shm, want)
-        _assert_same_maps(via_pipe, want)
 
     def test_parity_with_targets(self, table2_pool, parity_batch):
         pool, reference = table2_pool
@@ -200,8 +201,7 @@ class TestPipeShmParity:
         assert after["shm_batches"] == before["shm_batches"] + 1
         assert after["shm_bytes_moved"] > before["shm_bytes_moved"]
         assert after["copies_avoided"] > before["copies_avoided"]
-        # The payload crossed through the arena: nothing fell back.
-        assert after["pipe_payload_bytes"] == before["pipe_payload_bytes"]
+        # The payload crossed through the arena: nothing was resent.
         assert after["fallbacks"] == before["fallbacks"]
 
 
@@ -282,6 +282,53 @@ class TestEngineTransport:
         _assert_no_leaks(prefixes)
 
 
+def _unlink_on_first_encode(executor: ProcessExecutor,
+                            direction: str) -> None:
+    """Remove one segment of the first batch's slot from ``/dev/shm``
+    after the parent wrote the batch and before the worker attaches it
+    (what an external ``/dev/shm`` cleanup does)."""
+    arena = executor._all[0].arena
+    encode = arena.encode
+    calls = []
+
+    def encode_then_unlink(slot, images):
+        descs = encode(slot, images)
+        if not calls:
+            (slot.out if direction == "out" else slot.ret).shm.unlink()
+        calls.append(slot.index)
+        return descs
+
+    arena.encode = encode_then_unlink
+
+
+class TestStaleSlot:
+    @pytest.mark.parametrize("direction", ["out", "ret"])
+    def test_stale_slot_is_replaced_and_resent_once(self, direction):
+        """A slot whose segment vanished costs one stale round trip and
+        one resend into fresh segments; every later batch crosses the
+        arena again, and the stale header computed nothing."""
+        executor = ProcessExecutor(demo_spec(("echo",)), workers=1)
+        prefixes = _arena_prefixes(executor)
+        try:
+            _unlink_on_first_encode(executor, direction)
+            images = _images(2, side=8)
+            labels = np.zeros(2, dtype=np.int64)
+            for _ in range(5):
+                results, _ = executor.run_batch("echo", images, labels,
+                                                None)
+                for i, result in enumerate(results):
+                    np.testing.assert_array_equal(result.saliency,
+                                                  images[i].mean(axis=0))
+            stats = executor.transport_stats()
+            assert stats["fallbacks"] == 1
+            assert stats["shm_batches"] == 5
+            (worker,) = executor.worker_stats()
+            assert worker["batches"] == 5
+        finally:
+            executor.shutdown()
+        _assert_no_leaks(prefixes)
+
+
 class TestCrashHygiene:
     def test_crash_mid_batch_retries_on_survivor_and_unlinks(self):
         # A batch of [bad, good] kills its worker; the engine re-runs it
@@ -336,8 +383,8 @@ class TestCrashHygiene:
 
 class TestWorkerFallbacks:
     """Drive ``worker_main`` directly (in a thread, over a local pipe)
-    to pin the fallback and error legs of the protocol without having
-    to corrupt a live pool's arenas."""
+    to pin the stale, reply-fit and error legs of the protocol without
+    having to corrupt a live pool's arenas."""
 
     @pytest.fixture()
     def worker(self):
@@ -356,57 +403,78 @@ class TestWorkerFallbacks:
         except (OSError, BrokenPipeError):
             pass
         thread.join(timeout=5)
+        assert not thread.is_alive()
 
-    def test_stale_header_falls_back_to_slot_routed_pipe(self, worker):
+    @pytest.fixture()
+    def encoded(self):
+        """Two 8x8 images written into a one-slot arena: ``(arena,
+        slot, out_desc, ret_desc, images)``."""
+        arena = ShmArena("rtxtest-worker", slots=1)
         images = _images(2, side=8)
+        slot = arena.acquire()
+        out_desc, ret_desc = arena.encode(slot, images)
+        yield arena, slot, out_desc, ret_desc, images
+        arena.close()
+        _assert_no_leaks(["rtxtest-worker"])
+
+    @pytest.mark.parametrize("stale", ["out", "ret"])
+    def test_stale_header_computes_nothing(self, worker, encoded, stale):
+        arena, slot, out_desc, ret_desc, images = encoded
         labels = np.zeros(2, dtype=np.int64)
-        out_desc = ("rtx-no-such-segment-g1", 4096,
-                    tuple(images.shape), "float32")
-        worker.send(("shm_batch", 1, "echo", out_desc,
-                     ("rtx-no-such-ret-g1", 4096), labels, None))
+        if stale == "out":
+            header = (("rtx-no-such-segment-g1",) + out_desc[1:], ret_desc)
+        else:
+            header = (out_desc, ("rtx-no-such-ret-g1", ret_desc[1]))
+        worker.send(("shm_batch", 1, "echo", *header, labels, None))
         assert worker.recv() == ("shm_stale", 1)
-        worker.send(("pipe_batch", 1, "echo", images, labels, None))
-        (kind, slot, (pid, recv_at, done_at), counters, batch_ms, payload,
-         need) = worker.recv()
-        assert (kind, slot, need) == ("ok_pipe", 1, 0)
+        worker.send(("shm_batch", 1, "echo", out_desc, ret_desc, labels,
+                     None))
+        (kind, slot_index, (pid, recv_at, done_at), counters, batch_ms,
+         ret_shape, _labels, _targets, _metas) = worker.recv()
+        assert (kind, slot_index, ret_shape) == ("ok_shm", 1, (2, 8, 8))
         assert pid == os.getpid() and recv_at <= done_at
         # Cumulative counters ride the reply: the stale header ran
         # nothing, the resend one batch of two maps.
         assert (counters["batches"], counters["maps"]) == (1, 2)
         assert counters["plans"]["compiled"] == 0     # echo: tape only
         assert batch_ms >= 0.0
-        results = decode_results(payload)
-        np.testing.assert_allclose(results[1].saliency,
-                                   images[1].mean(axis=0), rtol=1e-6)
+        maps = np.array(arena.ret_view(slot, ret_shape))
+        np.testing.assert_allclose(maps[1], images[1].mean(axis=0),
+                                   rtol=1e-6)
 
-    def test_oversized_reply_falls_back_with_byte_hint(self, worker):
-        images = _images(2, side=8)
-        labels = np.zeros(2, dtype=np.int64)
-        arena = ShmArena("rtxtest-oversize", slots=1)
+    def test_reply_that_does_not_fit_is_an_error(self, worker, encoded):
+        _arena, _slot, out_desc, ret_desc, _images = encoded
+        # Lie about the return segment's capacity: the worker must
+        # refuse the in-place write and fail the batch, uncounted.
+        worker.send(("shm_batch", 0, "echo", out_desc, (ret_desc[0], 8),
+                     np.zeros(2, dtype=np.int64), None))
+        kind, slot_index, stamps, counters, *rest = worker.recv()
+        assert (kind, slot_index) == ("error", 0)
+        assert len(stamps) == 3
+        assert (counters["batches"], counters["maps"]) == (0, 0)
+        error = WorkerBatchError(*rest)
+        assert error.exc_type == "ValueError"
+        assert "reply stack (2, 8, 8)" in str(error)
+        assert "holds 8" in str(error)
+
+    def test_mixed_shape_reply_is_refused(self, encoded):
+        _arena, _slot, out_desc, ret_desc, _images = encoded
+        client = ArenaClient()
         try:
-            slot = arena.acquire()
-            out_desc, ret_desc = arena.encode(slot, images)
-            # Lie about the return segment's capacity: the worker must
-            # refuse the in-place write and pipe the payload back with
-            # the byte count the parent turns into a growth hint.
-            worker.send(("shm_batch", 0, "echo", out_desc,
-                         (ret_desc[0], 8), labels, None))
-            kind, slot_index, stamps, _counters, _batch_ms, payload, \
-                need = worker.recv()
-            assert (kind, slot_index) == ("ok_pipe", 0)
-            assert len(stamps) == 3
-            assert need == 2 * 8 * 8 * 4
-            results = decode_results(payload)
-            np.testing.assert_allclose(results[0].saliency,
-                                       images[0].mean(axis=0), rtol=1e-6)
+            assert client.attach(out_desc, ret_desc) is not None
+            maps = [np.zeros((8, 8), np.float32),
+                    np.zeros((4, 4), np.float32)]
+            with pytest.raises(ValueError,
+                               match=r"mixed shapes \[\(4, 4\), \(8, 8\)\]"):
+                client.write_ret(ret_desc, maps)
         finally:
-            arena.close()
-        _assert_no_leaks(["rtxtest-oversize"])
+            client.close()
 
-    def test_remote_error_is_slot_routed_with_stamps(self, worker):
-        images = _images(1, side=8)
-        worker.send(("pipe_batch", 1, "boom", images,
-                     np.zeros(1, dtype=np.int64), None))
+    def test_remote_error_is_slot_routed_with_stamps(self, worker,
+                                                     encoded):
+        _arena, _slot, out_desc, ret_desc, _images = encoded
+        worker.send(("shm_batch", 1, "boom", out_desc, ret_desc,
+                     np.zeros(2, dtype=np.int64), None))
         kind, slot, stamps, counters, method, exc_type, message, \
             remote_tb = worker.recv()
         assert (kind, slot, method, exc_type) == ("error", 1, "boom",
