@@ -6,11 +6,17 @@ inference — and writes machine-readable results to
 ``BENCH_substrate.json`` at the repo root so successive PRs accumulate a
 perf trajectory.
 
-``classifier_predict`` also times the no-grad tape forward that
-``predict_proba`` replaced (``tape_seconds``, ungated by
-``tools/check_bench.py``) and the script exits non-zero, after writing
-its results, when the same-run ratio ``tape_seconds / seconds`` falls
-below 1.3: a revert to the tape fails on any machine.
+Two sections also time, in alternation, the code their kernel replaced,
+and the script exits non-zero, after writing its results, when the
+same-run ratio falls below 1.3, so a revert fails on any machine (the
+reference timings are ungated by ``tools/check_bench.py``):
+
+* ``classifier_predict`` against the no-grad tape forward that
+  ``predict_proba`` replaced (``tape_seconds``);
+* ``conv_input_grad``, the tape's input-gradient step of a 3x3
+  stride-1 conv, against an in-script copy of the GEMM + ``col2im``
+  step that ``F.conv2d_input_grad``'s gather replaced
+  (``col2im_seconds``).
 
 The script runs unmodified on older revisions (it feature-detects
 ``nn.no_grad``), which is how the seed baseline was recorded::
@@ -129,10 +135,9 @@ def bench_occlusion_sweep(repeats: int) -> float:
     return _timeit(run, repeats)
 
 
-#: Least ``tape_seconds / seconds`` that ``classifier_predict`` accepts,
-#: and the fewest interleaved (kernel, tape) pairs it is measured over.
-MIN_PREDICT_SPEEDUP = 1.3
-MIN_PREDICT_PAIRS = 5
+#: The fewest interleaved (kernel, reference) pairs a same-run ratio is
+#: measured over.
+MIN_PAIRS = 5
 
 
 def bench_classifier_predict(repeats: int) -> Dict[str, float]:
@@ -157,9 +162,55 @@ def bench_classifier_predict(repeats: int) -> Dict[str, float]:
     kernel()
     tape()
     pairs = [(_timeit(kernel, 1, warmup=0), _timeit(tape, 1, warmup=0))
-             for _ in range(max(repeats, MIN_PREDICT_PAIRS))]
+             for _ in range(max(repeats, MIN_PAIRS))]
     seconds, tape_seconds = np.median(pairs, axis=0)
     return {"seconds": float(seconds), "tape_seconds": float(tape_seconds)}
+
+
+#: Calls per timed block of ``conv_input_grad`` (one call is a few ms).
+INPUT_GRAD_CALLS = 20
+
+
+def bench_conv_input_grad(repeats: int) -> Dict[str, float]:
+    """The classifier's 3x3 stride-1 conv at batch 16 (width 12,
+    32x32): the tape's input-gradient step, the backward of
+    ``F.conv2d`` with the weight frozen, against an in-script copy of
+    the GEMM + ``col2im`` step it ran before ``F.conv2d_input_grad``.
+    Seconds are per call, over blocks timed in alternation."""
+    rng = np.random.default_rng(0)
+    x = nn.Tensor(rng.standard_normal((16, 12, 32, 32)).astype(DTYPE),
+                  requires_grad=True)
+    w = nn.Tensor(rng.standard_normal((12, 12, 3, 3)).astype(DTYPE))
+    out = F.conv2d(x, w, stride=1, padding=1)
+    grad = rng.standard_normal(out.shape).astype(DTYPE)
+    w2dT = w.data.reshape(12, -1).T
+
+    def tape() -> None:
+        for _ in range(INPUT_GRAD_CALLS):
+            x.grad = None
+            out._backward(grad)
+
+    def col2im() -> None:
+        for _ in range(INPUT_GRAD_CALLS):
+            x.grad = None
+            gcols = np.matmul(w2dT, grad.reshape(16, 12, -1))
+            x._accumulate(F.col2im(gcols, x.shape, 3, 1, 1))
+
+    tape()
+    col2im()
+    pairs = [(_timeit(tape, 1, warmup=0), _timeit(col2im, 1, warmup=0))
+             for _ in range(max(repeats, MIN_PAIRS))]
+    seconds, col2im_seconds = np.median(pairs, axis=0) / INPUT_GRAD_CALLS
+    return {"seconds": float(seconds),
+            "col2im_seconds": float(col2im_seconds)}
+
+
+#: Same-run gates: the reference timing each section records beside
+#: ``seconds``, and the least ``reference / seconds`` it accepts.
+SAME_RUN_GATES = {
+    "classifier_predict": ("tape_seconds", 1.3),
+    "conv_input_grad": ("col2im_seconds", 1.3),
+}
 
 
 BENCHES: Dict[str, Callable[[int], object]] = {
@@ -168,6 +219,7 @@ BENCHES: Dict[str, Callable[[int], object]] = {
     "bbcfe_step": bench_bbcfe_step,
     "occlusion_sweep": bench_occlusion_sweep,
     "classifier_predict": bench_classifier_predict,
+    "conv_input_grad": bench_conv_input_grad,
 }
 
 
@@ -191,14 +243,16 @@ def main() -> None:
         print(f"{name:>18}: {results[name]['seconds'] * 1000:8.1f} ms")
 
     failures = []
-    predict = results.get("classifier_predict")
-    if predict:
-        ratio = predict["tape_seconds"] / predict["seconds"]
-        print(f"classifier_predict: tape {predict['tape_seconds'] * 1000:.1f}"
-              f" ms, {ratio:.2f}x")
-        if ratio < MIN_PREDICT_SPEEDUP:
-            failures.append(f"classifier_predict is {ratio:.2f}x the tape "
-                            f"forward, below {MIN_PREDICT_SPEEDUP}x")
+    for name, (reference, least) in SAME_RUN_GATES.items():
+        timed = results.get(name)
+        if not timed:
+            continue
+        ratio = timed[reference] / timed["seconds"]
+        print(f"{name}: {reference} {timed[reference] * 1000:.2f} ms, "
+              f"{ratio:.2f}x")
+        if ratio < least:
+            failures.append(f"{name} is {ratio:.2f}x its {reference}, "
+                            f"below {least}x")
 
     doc = {}
     if os.path.exists(args.out):

@@ -38,7 +38,7 @@ import numpy as np
 from repro.eval.pipeline import ExperimentContext, ExperimentScale
 from repro.explain import GradCAMExplainer, OcclusionExplainer
 from repro.serve import (EngineSpec, ExplainEngine, ProcessExecutor,
-                         ThreadedExecutor)
+                         SaliencyStore, ThreadedExecutor)
 
 
 def smoke_scale(image_size: int) -> ExperimentScale:
@@ -105,13 +105,15 @@ def main() -> None:
     else:
         executor = "serial"
 
+    # The engine adopts the store and closes it on close().
+    store = SaliencyStore(args.store) if args.store else None
     engine = ExplainEngine(
         None, explainers,
         max_batch=16,
         cache_size=256, cache_shards=4,
         max_pending=32, policy="block",                    # backpressure
         executor=executor,
-        store=args.store)                                  # tier 2 (opt.)
+        store=store)                                       # tier 2 (opt.)
     print(f"serving on executor={engine.stats()['executor']}"
           + (f", store={args.store}" if args.store else ""))
 
@@ -157,11 +159,14 @@ def main() -> None:
               f"{stats['batches_run'] - before} new batches")
         print(f"cache: size {stats['cache_size']} over "
               f"{stats['cache_shards']} shards")
-        if args.store:
-            store = stats["store"]
+        if store is not None:
+            # Writes go to disk behind the requests: wait for the queue
+            # before counting what persisted.
+            store.flush()
+            persisted = store.stats()
             print(f"store: {stats['store_served']} requests served from "
-                  f"disk this run; {store['entries']} entries "
-                  f"({store['bytes'] / 1024:.0f} KiB) persisted — "
+                  f"disk this run; {persisted['entries']} entries "
+                  f"({persisted['bytes'] / 1024:.0f} KiB) persisted — "
                   "rerun with the same --store and the cold pass above "
                   "disappears")
     print("\nengine closed (drained first: no handle left behind)")

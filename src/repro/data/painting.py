@@ -39,15 +39,24 @@ def smooth_noise(size: int, rng: np.random.Generator, scale: int = 4,
 
 
 def box_blur(image: np.ndarray, radius: int) -> np.ndarray:
-    """Separable box blur with edge padding."""
+    """Separable box blur with edge padding.
+
+    Each pass adds the ``2 * radius + 1`` scaled, shifted slices left to
+    right, the order in which ``np.convolve`` sums one row, so the result
+    is bit for bit that of convolving every row and then every column.
+    """
     if radius <= 0:
         return image
-    kernel = np.ones(2 * radius + 1) / (2 * radius + 1)
+    width = 2 * radius + 1
+    scale = 1.0 / width
     padded = np.pad(image, radius, mode="edge")
-    blurred = np.apply_along_axis(
-        lambda row: np.convolve(row, kernel, mode="valid"), 1, padded)
-    blurred = np.apply_along_axis(
-        lambda col: np.convolve(col, kernel, mode="valid"), 0, blurred)
+    h, w = image.shape
+    rows = padded[:, :w] * scale
+    for j in range(1, width):
+        rows += padded[:, j:j + w] * scale
+    blurred = rows[:h] * scale
+    for j in range(1, width):
+        blurred += rows[j:j + h] * scale
     return blurred
 
 

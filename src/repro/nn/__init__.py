@@ -30,11 +30,10 @@ from . import functional
 from . import plan
 from .functional import class_score_sum
 from .blocks import MLP, DownBlock, ResidualBlock, UpBlock
-from .layers import (AvgPool2d, BatchNorm2d, Conv2d, ConvTranspose2d, Dropout,
-                     Flatten, GlobalAvgPool2d, InstanceNorm2d, LayerNorm,
-                     LeakyReLU, Linear, MaxPool2d, Module, Parameter, ReLU,
-                     Sequential, Sigmoid, Tanh, Upsample, frozen,
-                     frozen_fingerprint)
+from .layers import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
+                     GlobalAvgPool2d, InstanceNorm2d, LayerNorm, LeakyReLU,
+                     Linear, MaxPool2d, Module, Parameter, ReLU, Sequential,
+                     Sigmoid, Tanh, Upsample, frozen, frozen_fingerprint)
 from .losses import (accuracy, binary_real_fake_loss, cross_entropy, l1_loss,
                      mse_loss)
 from .optim import SGD, Adam, Optimizer
@@ -52,7 +51,7 @@ __all__ = [
     "set_default_dtype", "get_default_dtype",
     "register_dtype_listener", "unregister_dtype_listener",
     "Module", "Parameter", "Sequential", "Linear", "Conv2d",
-    "ConvTranspose2d", "InstanceNorm2d", "BatchNorm2d", "LayerNorm",
+    "InstanceNorm2d", "BatchNorm2d", "LayerNorm",
     "ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Flatten", "Dropout",
     "AvgPool2d", "MaxPool2d", "GlobalAvgPool2d", "Upsample",
     "ResidualBlock", "DownBlock", "UpBlock", "MLP",

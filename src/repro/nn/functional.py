@@ -16,7 +16,14 @@ per 3x3 conv of the classifier (16 rows, width 12, 32x32, 2-core host,
 OpenBLAS; 1.0-1.2x for its 1x1 projections).
 ``SmallResNet.predict_proba`` is built that way, with BatchNorm folded
 in, and runs 1.7-2.1x the no-grad tape forward; moving the tape itself
-to NHWC would take the backward and ``col2im`` with it.)
+to NHWC would take the backward with it.)
+
+A conv's input gradient has one kernel, :func:`conv2d_input_grad`,
+which both the tape and the compiled plans (:mod:`repro.nn.plan`) call.
+At stride 1 it gathers k x k windows of the padded upstream gradient
+and runs one GEMM against the flipped kernel; any other stride runs the
+GEMM ``W^T @ grad`` and scatter-adds the columns with ``col2im``, which
+pooling's backward uses too.
 
 All image tensors use NCHW layout.
 """
@@ -113,6 +120,72 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
 # ----------------------------------------------------------------------
 # convolution
 # ----------------------------------------------------------------------
+def _input_grad_gathers(kernel: int, stride: int, padding: int) -> bool:
+    """Whether :func:`conv2d_input_grad` takes the stride-1 gather: more
+    padding than ``kernel - 1`` crops the gradient, which only col2im's
+    scatter covers."""
+    return stride == 1 and padding <= kernel - 1
+
+
+def conv2d_input_grad(grad: np.ndarray, weight: np.ndarray,
+                      x_shape: Tuple[int, int, int, int], stride: int,
+                      padding: int, out: Optional[np.ndarray] = None,
+                      gpad: Optional[np.ndarray] = None,
+                      cols: Optional[np.ndarray] = None) -> np.ndarray:
+    """The input gradient of :func:`conv2d`: ``dL/dx`` (``x_shape``) for
+    the upstream gradient ``grad`` (N, C_out, OH, OW) and ``weight``
+    (C_out, C, k, k).  The tape's conv backward and the compiled plans'
+    conv VJP both call it.
+
+    At stride 1 with ``padding <= k - 1`` the input gradient is a
+    stride-1 correlation of the gradient, zero-padded by ``k - 1 -
+    padding``, with the spatially flipped kernel (Dumoulin & Visin,
+    https://arxiv.org/abs/1603.07285): one gather of k x k windows and
+    one GEMM.  On the networks' 3x3 stride-1 convs it measured 1.4-16x
+    the scatter below (float32, 2-core host, OpenBLAS), except 0.6x on
+    the 1-channel stem, which gathers too: the route depends on stride
+    and padding alone.  Any other geometry runs the GEMM ``W^T @ grad``
+    and scatter-adds its columns with :func:`col2im`.  (At stride 2 a
+    gather would read a zero-dilated gradient, three quarters zeros,
+    and measured slower than the scatter.)
+
+    Omitted buffers are allocated.  A plan passes its own, so that a
+    replay allocates only the flipped weight: ``gpad`` (N, C_out, H + k
+    - 1, W + k - 1), whose border must be zero (only its interior is
+    written), and ``cols``, the gathered window matrix (N, C_out * k *
+    k, H * W), or on the col2im path the GEMM's output (N, C * k * k,
+    OH * OW).  The result is written into ``out`` when given.
+    """
+    n, c, h, w = x_shape
+    c_out, _, k, _ = weight.shape
+    if not _input_grad_gathers(k, stride, padding):
+        gcols = np.matmul(weight.reshape(c_out, -1).T,
+                          grad.reshape(n, c_out, -1), out=cols)
+        gx = col2im(gcols, x_shape, k, stride, padding)
+        if out is None:
+            return gx
+        np.copyto(out, gx)
+        return out
+    if gpad is None:
+        gpad = np.zeros((n, c_out, h + k - 1, w + k - 1), dtype=grad.dtype)
+    pad = k - 1 - padding
+    gpad[:, :, pad:pad + grad.shape[2], pad:pad + grad.shape[3]] = grad
+    s0, s1, s2, s3 = gpad.strides
+    windows = np.lib.stride_tricks.as_strided(
+        gpad, shape=(n, c_out, k, k, h, w),
+        strides=(s0, s1, s2, s3, s2, s3), writeable=False)
+    if cols is None:
+        cols = np.empty((n, c_out * k * k, h * w), dtype=grad.dtype)
+    np.copyto(cols.reshape(n, c_out, k, k, h, w), windows)
+    # Rebuilt on every call: the flip cannot be a view, and a plan's
+    # weights may change in place between replays.
+    flipped = np.ascontiguousarray(
+        weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)).reshape(c, -1)
+    gx = np.matmul(flipped, cols,
+                   out=None if out is None else out.reshape(n, c, h * w))
+    return gx.reshape(x_shape)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation), NCHW.
@@ -145,54 +218,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gcols = np.matmul(w2d.T, grad2d)                # (N, C*k*k, L)
-            x._accumulate(col2im(gcols, x.shape, kernel, stride, padding))
+            x._accumulate(conv2d_input_grad(grad, weight.data, x.shape,
+                                            stride, padding))
 
     return Tensor._make(out, parents, backward,
                         op="conv2d",
-                        meta={"stride": stride, "padding": padding})
-
-
-def conv2d_transpose(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-                     stride: int = 2, padding: int = 0) -> Tensor:
-    """Transposed convolution (fractionally-strided), NCHW.
-
-    weight: (in_channels, out_channels, k, k).  Output spatial size is
-    ``(H - 1) * stride - 2 * padding + k``.
-    """
-    n, c_in, h, w = x.shape
-    c_in_w, c_out, kh, kw = weight.shape
-    if c_in != c_in_w:
-        raise ValueError(f"input has {c_in} channels, weight expects {c_in_w}")
-    kernel = kh
-    out_h = (h - 1) * stride - 2 * padding + kernel
-    out_w = (w - 1) * stride - 2 * padding + kernel
-
-    # Forward of transposed conv == backward-input of a normal conv whose
-    # input is the output here.  Compute via col2im on W^T @ x, batched
-    # over samples in one BLAS matmul.
-    w2d = weight.data.reshape(c_in, c_out * kernel * kernel)
-    x2d = x.data.reshape(n, c_in, h * w)
-    cols = np.matmul(w2d.T, x2d)                            # (N, C_out*k*k, L)
-    out = col2im(cols, (n, c_out, out_h, out_w), kernel, stride, padding)
-    if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1, 1)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad: np.ndarray) -> None:
-        gcols = im2col(grad, kernel, stride, padding)       # (N, C_out*k*k, H*W)
-        if x.requires_grad:
-            gx = np.matmul(w2d, gcols)                      # (N, C_in, H*W)
-            x._accumulate(gx.reshape(x.shape))
-        if weight.requires_grad:
-            gw = np.matmul(x2d, gcols.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(gw.reshape(weight.shape))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-
-    return Tensor._make(out, parents, backward,
-                        op="conv2d_transpose",
                         meta={"stride": stride, "padding": padding})
 
 

@@ -300,27 +300,6 @@ class Conv2d(Module):
                         stride=self.stride, padding=self.padding)
 
 
-class ConvTranspose2d(Module):
-    """Transposed 2-D convolution layer (square kernels, NCHW)."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 2, padding: int = 0,
-                 rng: Optional[np.random.Generator] = None, bias: bool = True):
-        super().__init__()
-        rng = rng or np.random.default_rng()
-        self.stride = stride
-        self.padding = padding
-        fan_in = in_channels * kernel_size * kernel_size
-        self.weight = Parameter(init.kaiming_normal(
-            (in_channels, out_channels, kernel_size, kernel_size), rng,
-            fan_in=fan_in))
-        self.bias = Parameter(init.zeros(out_channels)) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d_transpose(x, self.weight, self.bias,
-                                  stride=self.stride, padding=self.padding)
-
-
 # ----------------------------------------------------------------------
 # normalisation layers
 # ----------------------------------------------------------------------

@@ -274,18 +274,16 @@ def _conv_cols_shape(rec: "_Op") -> Tuple[int, ...]:
 
 
 def _conv_dx_scratch_shapes(rec: "_Op"):
-    """The scratch of a traced conv's input-gradient step: the window
-    matrix, then the add-mode temporary placed past it.  The temporary
-    is ``None`` on the matmul + col2im fallback, which takes geometries
-    the dilated gather cannot (crop padding, or input rows the
-    forward's floor dropped)."""
+    """The scratch of a traced conv's input-gradient step: the matrix
+    its GEMM reads or writes, then the add-mode temporary placed past
+    it.  The temporary is ``None`` on the GEMM + col2im path, whose
+    result is a fresh array the step adds directly."""
+    from .functional import _input_grad_gathers
     n, c, h, wd = rec.ins[0].shape
     c_out, _, k, _ = rec.ins[1].shape
-    stride, padding = rec.meta["stride"], rec.meta["padding"]
-    if (k - 1 - padding < 0 or (h + 2 * padding - k) % stride
-            or (wd + 2 * padding - k) % stride):
+    if not _input_grad_gathers(k, rec.meta["stride"], rec.meta["padding"]):
         return _conv_cols_shape(rec), None
-    return (n, c_out * k * k, h * wd), (n, c, h * wd)
+    return (n, c_out * k * k, h * wd), (n, c, h, wd)
 
 
 def _is_basic_index(index) -> bool:
@@ -854,7 +852,6 @@ def _fw_conv2d(rec, plan):
     bview = None if bias is None \
         else bias.array.reshape(1, c_out, 1, 1)
     rec.scratch["cols"] = cols
-    rec.scratch["w2d"] = w2d
     x_arr = x.array
 
     def step():
@@ -862,28 +859,6 @@ def _fw_conv2d(rec, plan):
             np.copyto(interior, x_arr)
         np.copyto(cols6, windows)
         np.matmul(w2d, cols, out=o3)
-        if bview is not None:
-            np.add(o, bview, out=o)
-    return step
-
-
-def _fw_conv2d_transpose(rec, plan):
-    from .functional import col2im
-    x, w = rec.ins[0], rec.ins[1]
-    bias = rec.ins[2] if len(rec.ins) == 3 else None
-    stride, padding = rec.meta["stride"], rec.meta["padding"]
-    n, c_in, h, wd = x.shape
-    _, c_out, k, _ = w.shape
-    w2dT = w.array.reshape(c_in, -1).T
-    o = rec.out.array
-    bview = None if bias is None \
-        else bias.array.reshape(1, c_out, 1, 1)
-    x_arr = x.array
-
-    def step():
-        x2d = x_arr.reshape(n, c_in, h * wd)
-        cols = np.matmul(w2dT, x2d)
-        np.copyto(o, col2im(cols, rec.out.shape, k, stride, padding))
         if bview is not None:
             np.add(o, bview, out=o)
     return step
@@ -950,7 +925,6 @@ _FORWARD_BUILDERS: Dict[str, Callable] = {
     "log_softmax": _fw_log_softmax,
     "class_score_sum": _fw_class_score_sum,
     "conv2d": _fw_conv2d,
-    "conv2d_transpose": _fw_conv2d_transpose,
     "avg_pool2d": _fw_avg_pool2d,
     "max_pool2d": _fw_max_pool2d,
 }
@@ -1229,118 +1203,42 @@ def _vjp_class_score_sum(rec, plan):
 
 
 def _vjp_conv2d(rec, plan):
-    from .functional import col2im
+    from .functional import conv2d_input_grad
     g = plan._grad_buffers[rec.out]
     x, w = rec.ins[0], rec.ins[1]
     stride, padding = rec.meta["stride"], rec.meta["padding"]
     n, c, h, wd = x.shape
     c_out, _, k, _ = w.shape
     g2d = g.reshape(n, c_out, -1)
-    w2d = rec.scratch["w2d"]
     cols = rec.scratch["cols"]
     out = []
 
     def make_x(mode):
         target = plan._grad_buffers[x]
-        oh, ow = rec.out.shape[2], rec.out.shape[3]
-        pad2 = k - 1 - padding
-        win_shape, tmp_shape = _conv_dx_scratch_shapes(rec)
-        if tmp_shape is None:
-            # Geometry the dilated-correlation path can't cover (crop
-            # padding, or floor-dropped input rows): matmul + scatter.
-            gcols = plan._scratch(win_shape, g.dtype)
-            w2dT = w2d.T
+        cols_shape, tmp_shape = _conv_dx_scratch_shapes(rec)
+        gcols = plan._scratch(cols_shape, g.dtype)
+        gpad = tmp = None
+        if tmp_shape is not None:
+            # The padded gradient persists in the arena: only its
+            # interior is rewritten per replay, so its zero border is
+            # baked once here.  The windows and the add-mode temporary
+            # are step scratch.
+            gpad = plan._alloc((n, c_out, h + k - 1, wd + k - 1), g.dtype)
+            gpad.fill(0.0)
+            tmp = plan._scratch(tmp_shape, g.dtype,
+                                offset=_aligned(gcols.nbytes))
 
-            def step():
-                np.matmul(w2dT, g2d, out=gcols)
-                gx = col2im(gcols, x.shape, k, stride, padding)
-                if mode == "set":
-                    np.copyto(target, gx)
-                else:
-                    np.add(target, gx, out=target)
-            return step
-
-        # Fast path: dL/dx = stride-1 full correlation of the
-        # zero-dilated output gradient with spatially-flipped weights —
-        # a contiguous window gather + one GEMM instead of col2im's
-        # k*k strided scatter-adds (~1.8x on the 3x3/stride-1 convs
-        # that dominate FullGrad's backward).  The dilated gradient
-        # persists in the arena: only its interior is rewritten per
-        # replay, so the zero gaps and border are baked once here.  The
-        # windows and the add-mode temporary are step scratch.
-        dil_h, dil_w = (oh - 1) * stride + 1, (ow - 1) * stride + 1
-        gpad = plan._alloc((n, c_out, dil_h + 2 * pad2, dil_w + 2 * pad2),
-                           g.dtype)
-        gpad.fill(0.0)
-        interior = gpad[:, :, pad2:pad2 + dil_h:stride,
-                        pad2:pad2 + dil_w:stride]
-        s0, s1, s2, s3 = gpad.strides
-        win = np.lib.stride_tricks.as_strided(
-            gpad, shape=(n, c_out, k, k, h, wd),
-            strides=(s0, s1, s2, s3, s2, s3))
-        gwin = plan._scratch(win_shape, g.dtype)
-        gwin6 = gwin.reshape(n, c_out, k, k, h, wd)
-        g4 = g.reshape(n, c_out, oh, ow)
-        warr = w.array
-
-        def flipped():
-            # Rebuilt per replay (tiny): w.array may be updated in place
-            # between replays, and the flip+transpose cannot be a view.
-            return np.ascontiguousarray(
-                warr[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            ).reshape(c, c_out * k * k)
+        def dx(into):
+            return conv2d_input_grad(g, w.array, x.shape, stride, padding,
+                                     out=into, gpad=gpad, cols=gcols)
 
         if mode == "set":
-            gx_out = target.reshape(n, c, h * wd)
-
-            def step():
-                interior[...] = g4
-                np.copyto(gwin6, win)
-                np.matmul(flipped(), gwin, out=gx_out)
-            return step
-
-        tmp = plan._scratch(tmp_shape, g.dtype,
-                            offset=_aligned(gwin.nbytes))
-
-        def step():
-            interior[...] = g4
-            np.copyto(gwin6, win)
-            np.matmul(flipped(), gwin, out=tmp)
-            np.add(target, tmp.reshape(target.shape), out=target)
-        return step
+            return lambda: dx(target)
+        return lambda: np.add(target, dx(tmp), out=target)
     out.append((x, make_x))
 
     def w_compute():
         gw = np.matmul(g2d, cols.transpose(0, 2, 1)).sum(axis=0)
-        return gw.reshape(w.shape)
-    out.append((w, _emit(plan, w, w_compute)))
-
-    if len(rec.ins) == 3:
-        bias = rec.ins[2]
-        out.append((bias, _emit(plan, bias,
-                                lambda: g.sum(axis=(0, 2, 3)))))
-    return out
-
-
-def _vjp_conv2d_transpose(rec, plan):
-    from .functional import im2col
-    g = plan._grad_buffers[rec.out]
-    x, w = rec.ins[0], rec.ins[1]
-    stride, padding = rec.meta["stride"], rec.meta["padding"]
-    n, c_in, h, wd = x.shape
-    k = w.shape[2]
-    w2d = w.array.reshape(c_in, -1)
-    out = []
-
-    def x_compute():
-        gcols = im2col(g, k, stride, padding)
-        return np.matmul(w2d, gcols).reshape(x.shape)
-    out.append((x, _emit(plan, x, x_compute)))
-
-    def w_compute():
-        gcols = im2col(g, k, stride, padding)
-        x2d = x.array.reshape(n, c_in, h * wd)
-        gw = np.matmul(x2d, gcols.transpose(0, 2, 1)).sum(axis=0)
         return gw.reshape(w.shape)
     out.append((w, _emit(plan, w, w_compute)))
 
@@ -1415,7 +1313,6 @@ _VJP_BUILDERS: Dict[str, Callable] = {
     "log_softmax": _vjp_log_softmax,
     "class_score_sum": _vjp_class_score_sum,
     "conv2d": _vjp_conv2d,
-    "conv2d_transpose": _vjp_conv2d_transpose,
     "avg_pool2d": _vjp_avg_pool2d,
     "max_pool2d": _vjp_max_pool2d,
     # "getitem" has no VJP: its tape backward is a scatter-add whose
@@ -1455,7 +1352,6 @@ _VJP_VALUE_REQS: Dict[str, Callable] = {
     "log_softmax": lambda rec: (rec.out,),
     "class_score_sum": lambda rec: (),
     "conv2d": lambda rec: rec.ins[1:],
-    "conv2d_transpose": lambda rec: rec.ins,
     "avg_pool2d": lambda rec: (),
     "max_pool2d": lambda rec: (rec.ins[0],),
 }

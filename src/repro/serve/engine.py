@@ -979,6 +979,9 @@ class ExplainEngine:
                                       _result=result, ctx=ctx)
         # Checked only on a miss: a stored map exists only for a valid
         # image, so the hit paths above never pay for it.
+        if not image.size:
+            raise ValueError("image has an empty dimension; got shape "
+                             f"{image.shape}")
         channels = getattr(self.classifier, "in_channels", None)
         if channels is not None and image.ndim and image.shape[0] != channels:
             raise ValueError(f"image has {image.shape[0]} channel(s); the "

@@ -35,6 +35,19 @@ class TestPainting:
         img = np.full((8, 8), 2.5)
         assert np.allclose(painting.box_blur(img, 2), 2.5)
 
+    @pytest.mark.parametrize("shape", [(16, 16), (9, 23), (31, 5)])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_box_blur_matches_convolution(self, rng, radius, shape):
+        """Bit for bit a per-row, then per-column ``np.convolve``."""
+        img = rng.standard_normal(shape)
+        kernel = np.ones(2 * radius + 1) / (2 * radius + 1)
+        expected = np.pad(img, radius, mode="edge")
+        for axis in (1, 0):
+            expected = np.apply_along_axis(
+                lambda line: np.convolve(line, kernel, mode="valid"),
+                axis, expected)
+        assert np.array_equal(painting.box_blur(img, radius), expected)
+
     def test_box_blur_zero_radius_identity(self, rng):
         img = rng.standard_normal((8, 8))
         assert painting.box_blur(img, 0) is img

@@ -151,31 +151,45 @@ class TestConv2d:
                      Tensor(np.zeros((1, 1, 2, 3))))
 
 
-class TestConvTranspose2d:
-    def test_doubles_spatial(self, rng):
-        x = Tensor(rng.standard_normal((1, 4, 4, 4)))
-        w = Tensor(rng.standard_normal((4, 2, 4, 4)))
-        out = F.conv2d_transpose(x, w, stride=2, padding=1)
-        assert out.shape == (1, 2, 8, 8)
+#: The conv geometries the models build (kernel, stride, padding), then
+#: a padding past ``kernel - 1``, which crops the gradient.
+CONV_GEOMETRIES = [(3, 1, 1), (3, 2, 1), (1, 2, 0), (4, 2, 1), (4, 4, 0),
+                   (1, 1, 1)]
 
-    def test_gradients(self, rng):
-        x = rng.standard_normal((1, 2, 3, 3))
-        w = rng.standard_normal((2, 2, 4, 4))
-        check_grad_fn(lambda xx, ww: F.conv2d_transpose(xx, ww, stride=2,
-                                                        padding=1), [x, w],
+
+class TestConvInputGrad:
+    @pytest.mark.parametrize("side", [8, 9])
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_GEOMETRIES)
+    def test_gradcheck(self, rng, monkeypatch, kernel, stride, padding,
+                       side):
+        """float64 gradcheck through the tape.  Only stride 1 with
+        padding at most ``kernel - 1`` takes the gather; every other
+        geometry scatters with col2im."""
+        scatters = []
+
+        def spy(*args):
+            scatters.append(args)
+            return col2im(*args)
+        monkeypatch.setattr(F, "col2im", spy)
+        x = rng.standard_normal((2, 2, side, side))
+        w = rng.standard_normal((3, 2, kernel, kernel))
+        check_grad_fn(lambda xx, ww: F.conv2d(xx, ww, stride=stride,
+                                              padding=padding), [x, w],
                       tol=1e-4)
+        gathers = stride == 1 and padding <= kernel - 1
+        assert len(scatters) == (0 if gathers else 1)
 
-    def test_adjoint_of_conv(self, rng):
-        """<conv(x), y> == <x, conv_T(y)> — the defining adjoint property."""
-        x = rng.standard_normal((1, 2, 8, 8))
-        w = rng.standard_normal((3, 2, 4, 4))
-        y = rng.standard_normal((1, 3, 4, 4))
-        conv_x = F.conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
-        # conv_transpose weight layout is (C_in_of_y=3, C_out=2, k, k),
-        # which is exactly the conv weight's native (3, 2, k, k) view.
-        conv_t_y = F.conv2d_transpose(Tensor(y), Tensor(w), stride=2,
-                                      padding=1).data
-        assert (conv_x * y).sum() == pytest.approx((x * conv_t_y).sum(),
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (4, 2)])
+    def test_adjoint_of_conv(self, rng, kernel, stride):
+        """<conv(x), y> == <x, conv2d_input_grad(y)>: the input gradient
+        is the conv's adjoint, on the gather and on col2im."""
+        x = rng.standard_normal((2, 2, 8, 8))
+        w = rng.standard_normal((3, 2, kernel, kernel))
+        conv_x = F.conv2d(Tensor(x), Tensor(w), stride=stride,
+                          padding=1).data
+        y = rng.standard_normal(conv_x.shape)
+        adjoint = F.conv2d_input_grad(y, w, x.shape, stride, 1)
+        assert (conv_x * y).sum() == pytest.approx((x * adjoint).sum(),
                                                    rel=1e-9)
 
 

@@ -107,11 +107,6 @@ class TestConvLayers:
         out = layer(Tensor(rng.standard_normal((2, 3, 8, 8))))
         assert out.shape == (2, 8, 4, 4)
 
-    def test_convtranspose2d_shape(self, rng):
-        layer = nn.ConvTranspose2d(4, 2, 4, stride=2, padding=1, rng=rng)
-        out = layer(Tensor(rng.standard_normal((1, 4, 4, 4))))
-        assert out.shape == (1, 2, 8, 8)
-
 
 class TestNorms:
     def test_instance_norm_normalises_per_instance(self, rng):

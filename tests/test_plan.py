@@ -10,6 +10,7 @@ in ``test_explain_batch.py``; this file covers the machinery itself.
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -213,8 +214,9 @@ def _conv_plan_and_tape(dtype, side, weight_grad=False):
 
 
 class TestConvPlan:
-    """Conv plans against the tape.  An odd side takes the dilated
-    gather at stride 2, an even side the matmul + col2im fallback."""
+    """Conv plans against the tape, on an even and an odd side.  The
+    stride-1 conv's input gradient takes the gather, the stride-2 convs'
+    the GEMM + col2im path."""
 
     @pytest.mark.parametrize("side", [8, 9])
     @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-5),
@@ -244,6 +246,37 @@ class TestConvPlan:
         assert len(cols) == 3
         assert np.may_share_memory(cols[0], cols[1])
         assert np.may_share_memory(cols[1], cols[2])
+
+    def test_gather_replay_allocates_no_buffers(self, monkeypatch):
+        """A replay's stride-1 input gradient fills the plan's own
+        padded gradient, windows and gradient buffer: it allocates less
+        than its result's size (only the flipped weight)."""
+        calls = []
+        real = F.conv2d_input_grad
+
+        def spy(grad, weight, x_shape, stride, padding, **buffers):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = real(grad, weight, x_shape, stride, padding, **buffers)
+            calls.append((stride, buffers.get("gpad") is not None,
+                          out.nbytes,
+                          tracemalloc.get_traced_memory()[1] - base))
+            return out
+        monkeypatch.setattr(F, "conv2d_input_grad", spy)
+        plan, _, _ = _conv_plan_and_tape(np.float64, 16)
+        images = np.random.default_rng(4).standard_normal((2, 2, 16, 16))
+        feed = {"x": images, "labels": np.array([0, 1])}
+        plan.replay(feed)
+        del calls[:]
+        tracemalloc.start()
+        try:
+            plan.replay(feed)
+        finally:
+            tracemalloc.stop()
+        gathers = [c for c in calls if c[0] == 1]
+        assert len(gathers) == 1 and len(calls) == 3
+        _, baked, nbytes, allocated = gathers[0]
+        assert baked and allocated < nbytes
 
     def test_fullgrad_arena_at_the_sweep_shape(self):
         """The sweep's FullGrad plan (width 12, batch 2, 1x32x32): conv

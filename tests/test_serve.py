@@ -5,7 +5,8 @@ import pytest
 from conftest import CountingClassifier, FlakyExplainer, StubExplainer
 
 from repro.explain import GradCAMExplainer, OcclusionExplainer
-from repro.serve import ExplainEngine, SaliencyCache, request_key
+from repro.serve import (ExplainEngine, SaliencyCache, demo_spec,
+                         request_key)
 
 
 @pytest.fixture()
@@ -319,6 +320,22 @@ class TestModelCallLabels:
         assert engine.explain(images[0], int(labels[0]), "stub").label \
             == int(labels[0])
         assert stub.computed == 1
+        engine.close()
+
+    def test_empty_image_refused_at_submit(self):
+        """An image with a 0 in its shape raises at submit, naming the
+        shape, for a gradient and a perturbation method alike: no batch
+        runs and nothing is cached."""
+        classifier, explainers = demo_spec().materialize()
+        engine = ExplainEngine(classifier, explainers, max_batch=1)
+        empty = np.zeros((1, 0, 0), dtype=np.float32)
+        for method in ("gradcam", "occlusion"):
+            for submit in (engine.submit, engine.submit_async):
+                with pytest.raises(ValueError, match=r"\(1, 0, 0\)"):
+                    submit(empty, 0, method)
+        stats = engine.stats()
+        assert (stats["batches_run"], stats["requests_failed"],
+                stats["cache_size"], engine.pending_count()) == (0, 0, 0, 0)
         engine.close()
 
     def test_engine_without_classifier_refuses_omitted_label(self):
